@@ -1,7 +1,7 @@
 // Micro-benchmarks for the algorithmic kernels: CSR assembly, modularity
-// evaluation, one Louvain sweep (hash-map baseline vs the flat
-// ScatterAccumulator kernel the engines use), coarsening, and the generators
-// feeding the table harnesses.
+// evaluation, one Louvain sweep (hash-map baseline, the flat
+// ScatterAccumulator reference and the segmented kernel the engines use),
+// coarsening, and the generators feeding the table harnesses.
 //
 // Besides the usual Google-Benchmark mode, `--pr3_json=<path>` switches to a
 // self-timed run that writes the machine-readable perf trail committed as
@@ -20,8 +20,8 @@
 // (simulated per-message wire latency for the headline rows, default 1.0).
 //
 // `--pr8_json=<path>` writes the BENCH_PR8.json trail (ISSUE 8): the kernel
-// table grows the segmented and SIMD sweep lanes (util/segmented.hpp)
-// against the flat gather kernel, and an `overlap_auto` section runs the
+// table grows the segmented sweep kernel (util/segmented.hpp) against the
+// flat gather kernel, and an `overlap_auto` section runs the
 // distributed algorithm under --overlap off/on/auto at zero and `delay_ms`
 // simulated wire latency -- auto's wall must land within tolerance of the
 // better forced mode, and its cost-model decision is recorded. Knobs mirror
@@ -71,12 +71,13 @@ gen::GeneratedGraph rmat_graph(int scale) {
   return gen::rmat(p);
 }
 
-// ---- one local-move sweep, hash baseline vs flat kernel ---------------------
-// Both run the identical single-node sweep (the seed's serial inner loop):
-// scan every vertex, accumulate neighbour-community weights, move to the
-// best-gain community. The hash variant is the pre-PR3 unordered_map kernel,
-// kept verbatim as the comparison baseline; the flat variant is the
-// ScatterAccumulator kernel serial.cpp/shared.cpp/dist_louvain.cpp now use.
+// ---- one local-move sweep: hash, flat and segmented kernels -----------------
+// All three run the identical single-node sweep (the seed's serial inner
+// loop): scan every vertex, accumulate neighbour-community weights, move to
+// the best-gain community. The hash variant is the pre-PR3 unordered_map
+// kernel and the flat variant the ScatterAccumulator kernel, both kept as
+// reference baselines; the segmented variant is the SegmentedAccumulator +
+// util::best_segment kernel serial.cpp/shared.cpp/dist_louvain.cpp use.
 // Their outputs are identical (the argmax predicate is iteration-order
 // independent), so `moved` doubles as a cross-check.
 
@@ -179,12 +180,12 @@ std::int64_t sweep_flat(const SweepInput& in, std::vector<CommunityId>& curr,
   return moved;
 }
 
-/// The segmented/SIMD lanes of the same sweep (ISSUE 8): arcs grouped by
+/// The segmented kernel of the same sweep: arcs grouped by
 /// destination-community segment in first-touch order, argmax via
 /// util::best_segment. Bitwise identical to sweep_flat by construction --
 /// `moved` doubles as the cross-check.
 std::int64_t sweep_segmented(const SweepInput& in, std::vector<CommunityId>& curr,
-                             std::vector<Weight>& a, util::SweepLane lane) {
+                             std::vector<Weight>& a) {
   const VertexId n = in.csr.num_vertices();
   const Weight m = in.m;
   util::SegmentedAccumulator<Weight> nbr_weight;
@@ -200,8 +201,7 @@ std::int64_t sweep_segmented(const SweepInput& in, std::vector<CommunityId>& cur
     const Weight e_own = nbr_weight.sum_of(own);
     const Weight a_own_less_v = a[static_cast<std::size_t>(own)] - kv;
     const auto pick = util::best_segment(
-        lane, nbr_weight, nbr_weight.segment_of(own), e_own, a_own_less_v, kv,
-        m, 1.0,
+        nbr_weight, nbr_weight.segment_of(own), e_own, a_own_less_v, kv, m, 1.0,
         [&](std::int64_t slot) { return a[static_cast<std::size_t>(slot)]; },
         [](std::int64_t slot) { return static_cast<CommunityId>(slot); });
     const CommunityId best =
@@ -372,25 +372,11 @@ void BM_LocalMoveSweepSegmented(benchmark::State& state) {
   for (auto _ : state) {
     std::iota(curr.begin(), curr.end(), CommunityId{0});
     a = in.a_init;
-    benchmark::DoNotOptimize(
-        sweep_segmented(in, curr, a, util::SweepLane::kSegmented));
+    benchmark::DoNotOptimize(sweep_segmented(in, curr, a));
   }
   state.SetItemsProcessed(state.iterations() * in.csr.num_arcs());
 }
 BENCHMARK(BM_LocalMoveSweepSegmented)->Arg(10)->Arg(12);
-
-void BM_LocalMoveSweepSimd(benchmark::State& state) {
-  const auto in = make_sweep_input(rmat_graph(static_cast<int>(state.range(0))));
-  std::vector<CommunityId> curr(in.k.size());
-  std::vector<Weight> a;
-  for (auto _ : state) {
-    std::iota(curr.begin(), curr.end(), CommunityId{0});
-    a = in.a_init;
-    benchmark::DoNotOptimize(sweep_segmented(in, curr, a, util::SweepLane::kSimd));
-  }
-  state.SetItemsProcessed(state.iterations() * in.csr.num_arcs());
-}
-BENCHMARK(BM_LocalMoveSweepSimd)->Arg(10)->Arg(12);
 
 // ---- the BENCH_PR3/PR5 json emitters ----------------------------------------
 
@@ -650,7 +636,7 @@ int run_pr5(const std::string& json_path, int scale, int reps, int dist_scale,
   return 0;
 }
 
-// ---- the BENCH_PR8.json emitter (sweep lanes + overlap cost model) ----------
+// ---- the BENCH_PR8.json emitter (sweep kernel + overlap cost model) ---------
 
 /// Minimum-wall distributed run: the usual best-of-N timing estimator. The
 /// pr8 section compares WALLS across modes, so every mode is ranked the same
@@ -697,21 +683,14 @@ int run_pr8(const std::string& json_path, int scale, int reps, int dist_scale,
   const auto in = make_sweep_input(g);
   const auto arcs = static_cast<double>(in.csr.num_arcs());
 
-  // All four sweep kernels interleaved in one rep loop: the flat gather
-  // baseline and the lane kernels sample the same host-noise window, so the
-  // reported ratios reflect the kernels, not vCPU steal drift between rep
-  // blocks. Same sweep, same moves -- any divergence is a lane bug.
-  std::vector<InterleavedKernel> iks(4);
+  // All three sweep kernels interleaved in one rep loop: the hash and flat
+  // baselines and the segmented kernel sample the same host-noise window, so
+  // the reported ratios reflect the kernels, not vCPU steal drift between
+  // rep blocks. Same sweep, same moves -- any divergence is a kernel bug.
+  std::vector<InterleavedKernel> iks(3);
   iks[0].sweep = sweep_hash;
   iks[1].sweep = sweep_flat;
-  iks[2].sweep = [](const SweepInput& i, std::vector<CommunityId>& c,
-                    std::vector<Weight>& a) {
-    return sweep_segmented(i, c, a, util::SweepLane::kSegmented);
-  };
-  iks[3].sweep = [](const SweepInput& i, std::vector<CommunityId>& c,
-                    std::vector<Weight>& a) {
-    return sweep_segmented(i, c, a, util::SweepLane::kSimd);
-  };
+  iks[2].sweep = sweep_segmented;
   timed_sweep_interleaved(in, reps, iks);
 
   KernelNumbers kn;
@@ -719,17 +698,13 @@ int run_pr8(const std::string& json_path, int scale, int reps, int dist_scale,
   kn.flat_ns = iks[1].best_ns;
   kn.moved = iks[1].moved;
   const double segmented_ns = iks[2].best_ns;
-  const double simd_ns = iks[3].best_ns;
   const auto segmented_moved = iks[2].moved;
-  const auto simd_moved = iks[3].moved;
-  if (iks[0].moved != kn.moved || segmented_moved != kn.moved ||
-      simd_moved != kn.moved) {
-    std::cerr << "micro_kernels: sweep lanes diverged (hash " << iks[0].moved
+  if (iks[0].moved != kn.moved || segmented_moved != kn.moved) {
+    std::cerr << "micro_kernels: sweep kernels diverged (hash " << iks[0].moved
               << ", flat " << kn.moved << ", segmented " << segmented_moved
-              << ", simd " << simd_moved << " moves)\n";
+              << " moves)\n";
     return 1;
   }
-  const double best_lane_ns = std::min(segmented_ns, simd_ns);
   {
     // Coarsen by the sweep's resulting assignment (compacted ids).
     std::vector<CommunityId> curr(in.k.size());
@@ -796,16 +771,12 @@ int run_pr8(const std::string& json_path, int scale, int reps, int dist_scale,
       << "    \"local_move_segmented\": {\"ns_per_op\": " << segmented_ns
       << ", \"ns_per_arc\": " << segmented_ns / arcs
       << ", \"moved\": " << segmented_moved << "},\n"
-      << "    \"local_move_simd\": {\"ns_per_op\": " << simd_ns
-      << ", \"ns_per_arc\": " << simd_ns / arcs << ", \"moved\": " << simd_moved
-      << "},\n"
       << "    \"coarsen_flat\": {\"ns_per_op\": " << kn.coarsen_ns
       << ", \"ns_per_arc\": " << kn.coarsen_ns / arcs << "}\n"
       << "  },\n"
       << "  \"ratios\": {\"local_move_hash_over_flat\": " << kn.hash_ns / kn.flat_ns
       << ", \"flat_over_segmented\": " << kn.flat_ns / segmented_ns
-      << ", \"flat_over_simd\": " << kn.flat_ns / simd_ns
-      << ", \"flat_over_best_lane\": " << kn.flat_ns / best_lane_ns << "},\n"
+      << ", \"flat_over_best_lane\": " << kn.flat_ns / segmented_ns << "},\n"
       << "  \"overlap_auto\": {\n"
       << "    \"ranks\": " << ranks << ", \"scale\": " << dist_scale
       << ", \"reps\": " << reps << ", \"delay_ms\": " << delay_ms << ",\n"
@@ -818,8 +789,6 @@ int run_pr8(const std::string& json_path, int scale, int reps, int dist_scale,
   std::cout << "local_move_flat:      " << kn.flat_ns / arcs << " ns/arc\n"
             << "local_move_segmented: " << segmented_ns / arcs << " ns/arc ("
             << kn.flat_ns / segmented_ns << "x over flat)\n"
-            << "local_move_simd:      " << simd_ns / arcs << " ns/arc ("
-            << kn.flat_ns / simd_ns << "x over flat)\n"
             << "overlap auto, zero latency:  off " << zero.off.seconds << " s, on "
             << zero.on.seconds << " s, auto " << zero.automatic.seconds << " s ("
             << zero.automatic.overlap.decision << ")\n"

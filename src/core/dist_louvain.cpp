@@ -178,11 +178,8 @@ PhaseResult run_phase(comm::Comm& comm, const graph::DistGraph& g,
   const auto& dst_slot = g.dst_slots();
 
   // One segmented e_{v -> c} reduction per pool thread, keyed by ledger
-  // slot and reused across vertices, batches and iterations. The lane is
-  // captured once per phase (mid-run overrides land on the next phase);
-  // every lane is bitwise identical to the historical flat scatter
-  // (util/segmented.hpp).
-  const util::SweepLane lane = util::sweep_lane();
+  // slot and reused across vertices, batches and iterations; bitwise
+  // identical to the historical flat scatter (util/segmented.hpp).
   std::vector<util::SegmentedAccumulator<Weight>> scatter(
       static_cast<std::size_t>(pool.num_threads()));
 
@@ -475,10 +472,10 @@ PhaseResult run_phase(comm::Comm& comm, const graph::DistGraph& g,
 
             // ∆Q argmax over the dense segment arrays. The selection (max
             // gain, strictly positive, smallest community id on ties) does
-            // not depend on visit order, so every lane picks the same
-            // winner the hash-map iteration did.
+            // not depend on visit order, so it picks the same winner the
+            // hash-map iteration did.
             const auto pick = util::best_segment(
-                lane, nbr_weight, nbr_weight.segment_of(own_slot), e_own,
+                nbr_weight, nbr_weight.segment_of(own_slot), e_own,
                 a_own_less_v, kv, m, gamma,
                 [&](std::int64_t slot) {
                   return state.ledger.info_by_slot(slot).degree;

@@ -34,9 +34,11 @@ struct TimeBreakdown {
   double rebuild{0};
 
   /// Summed per-thread seconds the rank's compute pool spent inside the
-  /// local-move scan. Equals `compute` on one thread; `compute_busy /
-  /// compute` is the scan's effective parallelism. NOT part of total():
-  /// these seconds overlap the `compute` wall time.
+  /// parallel decide scan of the local-move sweep. The serial apply of each
+  /// batch is in `compute` but not here, so on one thread `compute_busy <=
+  /// compute`; `compute_busy / compute` is the sweep's effective
+  /// parallelism. NOT part of total(): these seconds overlap the `compute`
+  /// wall time.
   double compute_busy{0};
 
   /// Exchange latency (ghost + delta collectives) that elapsed while this

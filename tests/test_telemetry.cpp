@@ -225,6 +225,16 @@ TEST(Breakdown, PhaseBreakdownsSumToRunBreakdownAndFitTheirPhase) {
   EXPECT_LE(d.breakdown.total(), d.seconds + 0.25);
 }
 
+TEST(Breakdown, SingleThreadComputeBusyIsPositiveAndWithinCompute) {
+  // At --threads 1 parallel_for runs the decide scan inline on the caller;
+  // that time must still accrue as pool busy time, and it can never exceed
+  // the compute wall, which also holds the serial apply of every batch.
+  const auto r = Plan::distributed(2).threads(1).seed(123).run(rmat10());
+  const auto& b = r.distributed->breakdown;
+  EXPECT_GT(b.compute_busy, 0.0);
+  EXPECT_LE(b.compute_busy, b.compute);
+}
+
 // ---- satellite 1: restart traffic is wasted, not leaked ---------------------
 
 TEST(Recovery, CrashedRunReportsCleanTrafficPlusWaste) {

@@ -39,8 +39,8 @@ Timing overheads are recorded in the trail but not asserted (wall clocks on
 shared hosts are noise).
 
 When the current results carry an `overlap_auto` section (the PR8 trail,
-`micro_kernels --pr8_json=...` or `--emit pr8`), the sweep-lane and
-cost-model acceptance bars are checked: the best segmented/SIMD lane must be
+`micro_kernels --pr8_json=...` or `--emit pr8`), the sweep-kernel and
+cost-model acceptance bars are checked: the segmented kernel must be
 at least --min-lane-speedup x faster than the flat gather baseline measured
 in the SAME run (interleaved reps, so the ratio is noise-robust), all six
 overlap-mode runs must have produced identical results, and `--overlap=auto`
@@ -473,7 +473,7 @@ def main():
                              "min(on, off) when an overlap_auto section is "
                              "present (0.05 = 5%%)")
     parser.add_argument("--min-lane-speedup", type=float, default=1.05,
-                        help="required flat/best-lane local-move ratio when "
+                        help="required flat/segmented local-move ratio when "
                              "an overlap_auto (pr8) section is present")
     parser.add_argument("--wall-tolerance", type=float, default=0.10,
                         help="allowed decline-path wall excess over "
@@ -547,12 +547,12 @@ def main():
         if lane_ratio is None:
             failures.append("pr8 results carry no flat_over_best_lane ratio")
         else:
-            print(f"sweep-lane speedup (flat/best-lane, same machine, "
+            print(f"sweep-kernel speedup (flat/segmented, same machine, "
                   f"interleaved reps): {lane_ratio:.2f}x "
                   f"(floor {args.min_lane_speedup:.2f}x)")
             if lane_ratio < args.min_lane_speedup:
                 failures.append(
-                    f"best sweep lane only {lane_ratio:.2f}x faster than the "
+                    f"segmented kernel only {lane_ratio:.2f}x faster than the "
                     f"flat gather baseline "
                     f"(floor {args.min_lane_speedup:.2f}x)")
     base_kernels = baseline.get("kernels", {})
