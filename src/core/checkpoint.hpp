@@ -35,10 +35,11 @@
 //
 // Determinism contract: resuming at the SAME rank count reproduces the
 // uninterrupted run bit for bit (test_robustness.cpp proves it for every
-// kill point). v3 checkpoints make that hold even after the phase-boundary
-// re-balancer (core/rebalance.hpp) has migrated vertex ranges: meta.bin
-// records the ACTIVE ownership map explicitly, and same-p loads resume onto
-// it verbatim instead of assuming the even-vertices split. Resuming at a
+// kill point). v3 meta.bin records the ACTIVE ownership map explicitly, and
+// same-p loads resume onto it verbatim, so the partition a resumed phase
+// sweeps over is read from disk rather than re-derived from the rank count.
+// Every coarse graph is built on the even-vertices split, so the recorded
+// map is always that split; the field keeps the v3 format. Resuming at a
 // DIFFERENT rank count is supported -- the graph is repartitioned on load
 // -- and yields a valid clustering with exact bookkeeping, but not the same
 // bits: sweep orders are keyed on partition offsets, so the move sequence

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <stdexcept>
 
 #include "core/checkpoint.hpp"
 #include "core/coloring.hpp"
@@ -748,6 +749,20 @@ PhaseResult run_phase(comm::Comm& comm, const graph::DistGraph& g,
 
 }  // namespace
 
+double load_imbalance(std::span<const double> loads) {
+  double sum = 0;
+  double max = 0;
+  for (const double v : loads) {
+    if (v < 0) throw std::invalid_argument("load_imbalance: negative load");
+    sum += v;
+    max = std::max(max, v);
+  }
+  if (sum <= 0) return 1.0;
+  // max >= mean exactly; the clamp absorbs rounding in the floating-point sum
+  // (three equal loads of 0.1 sum to slightly more than 0.3).
+  return std::max(1.0, max / (sum / static_cast<double>(loads.size())));
+}
+
 DistResult dist_louvain(comm::Comm& comm, graph::DistGraph graph, const DistConfig& cfg,
                         std::atomic<int>* phase_progress, const WarmStart* warm) {
   util::WallTimer total_timer;
@@ -919,8 +934,7 @@ DistResult dist_louvain(comm::Comm& comm, graph::DistGraph graph, const DistConf
     util::WallTimer rebuild_timer;
     const util::TraceSpan rebuild_span(tb, "rebuild", "collective", phase);
     auto next = rebuild(comm, graph, phase_state.owned_community, phase_state.ghosts,
-                        phase_state.ledger, &pool, /*build_graph=*/!renumber_only,
-                        cfg.rebalance, phase);
+                        phase_state.ledger, &pool, /*build_graph=*/!renumber_only);
 
     // Route each original vertex's current id to the rank owning it in the
     // CURRENT partition; owners answer with the collapsed meta-vertex id.
@@ -948,25 +962,24 @@ DistResult dist_louvain(comm::Comm& comm, graph::DistGraph graph, const DistConf
     telemetry.breakdown.rebuild = rebuild_timer.seconds();
     telemetry.seconds = phase_timer.seconds();
 
-    // Per-phase load-imbalance lambdas (ISSUE 10), sampled on EVERY run so
-    // the coarsening skew is observable even with re-balancing off. One
-    // O(p) allgather per phase: this rank's owned-arc count of the graph
-    // the phase just ran on (the partition-quality lambda) and its measured
-    // compute + rebuild wall (the observability lambda; scheduler-dependent,
-    // so it is never a decision input). Sampling traffic is reclassified so
-    // comm.messages stays comparable with and without the sampling.
+    // Per-phase load-imbalance lambdas, sampled on EVERY run so the
+    // coarsening skew is observable. One O(p) allgather per phase: this
+    // rank's owned-arc count of the graph the phase just ran on (the
+    // partition-quality lambda) and its measured compute + rebuild wall (the
+    // observability lambda; scheduler-dependent). Sampling traffic is
+    // reclassified so comm.messages counts algorithm traffic only.
     {
-      const util::TraceSpan span(tb, "rebalance", "collective", phase);
-      const util::TrafficReclassScope reclass(ctr, util::Counter::kRebalanceMessages,
-                                              util::Counter::kRebalanceBytes);
+      const util::TraceSpan span(tb, "load_sample", "collective", phase);
+      const util::TrafficReclassScope reclass(ctr, util::Counter::kLoadSampleMessages,
+                                              util::Counter::kLoadSampleBytes);
       struct LoadSample {
-        std::int64_t arcs;
+        double arcs;
         double seconds;
       };
       const auto samples = comm.allgather(LoadSample{
-          static_cast<std::int64_t>(graph.local().num_arcs()),
+          static_cast<double>(graph.local().num_arcs()),
           telemetry.breakdown.compute + telemetry.breakdown.rebuild});
-      std::vector<std::int64_t> arcs(samples.size());
+      std::vector<double> arcs(samples.size());
       std::vector<double> walls(samples.size());
       for (std::size_t i = 0; i < samples.size(); ++i) {
         arcs[i] = samples[i].arcs;
@@ -974,31 +987,6 @@ DistResult dist_louvain(comm::Comm& comm, graph::DistGraph graph, const DistConf
       }
       telemetry.load_lambda = load_imbalance(arcs);
       telemetry.time_lambda = load_imbalance(walls);
-    }
-    // The boundary's re-balancing verdict (all-default when off): fold into
-    // the per-phase record and the run-level v5 roll-up.
-    telemetry.rebalance.evaluated = next.rebalance.evaluated;
-    telemetry.rebalance.engaged = next.rebalance.engaged;
-    telemetry.rebalance.lambda_pre = next.rebalance.lambda_pre;
-    telemetry.rebalance.lambda_post = next.rebalance.lambda_post;
-    telemetry.rebalance.lambda_floor = next.rebalance.lambda_floor;
-    telemetry.rebalance.ranges_moved = next.rebalance.stats.ranges_moved;
-    telemetry.rebalance.vertices_migrated = next.rebalance.stats.vertices_migrated;
-    telemetry.rebalance.arcs_migrated = next.rebalance.stats.arcs_migrated;
-    if (next.rebalance.evaluated) {
-      ++result.rebalance.phases_evaluated;
-      if (next.rebalance.engaged) {
-        ++result.rebalance.phases_engaged;
-      } else {
-        ++result.rebalance.phases_declined;
-      }
-      result.rebalance.ranges_moved += next.rebalance.stats.ranges_moved;
-      result.rebalance.vertices_migrated += next.rebalance.stats.vertices_migrated;
-      result.rebalance.arcs_migrated += next.rebalance.stats.arcs_migrated;
-      result.rebalance.max_lambda_pre =
-          std::max(result.rebalance.max_lambda_pre, next.rebalance.lambda_pre);
-      result.rebalance.max_lambda_post =
-          std::max(result.rebalance.max_lambda_post, next.rebalance.lambda_post);
     }
 
     // Section V-D quality-assessment mode: gather the per-phase vertex-
@@ -1100,8 +1088,6 @@ DistResult dist_louvain(comm::Comm& comm, graph::DistGraph graph, const DistConf
     const auto executed = static_cast<int>(result.phase_telemetry.size());
     (on ? result.overlap.phases_engaged : result.overlap.phases_declined) = executed;
   }
-  result.rebalance.enabled = cfg.rebalance.enabled;
-  result.rebalance.threshold = cfg.rebalance.threshold;
   return result;
 }
 

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <atomic>
+#include <span>
 
 #include "comm/comm.hpp"
 #include "core/dist_config.hpp"
@@ -41,6 +42,11 @@ struct WarmStart {
   /// buys ~nothing for small batches. 0 keeps the configured tau only.
   double exit_threshold{0};
 };
+
+/// max/mean of a non-negative load vector: the per-phase load_lambda (owned
+/// arcs) and time_lambda (compute + rebuild seconds) in PhaseTelemetry. 1.0
+/// (perfect balance) for an empty or all-zero vector.
+[[nodiscard]] double load_imbalance(std::span<const double> loads);
 
 /// Run distributed Louvain over `graph` (consumed: coarsening replaces it
 /// phase by phase). With DistConfig::checkpoint configured, phase-boundary

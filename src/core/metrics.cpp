@@ -86,23 +86,6 @@ void append_overlap_json(std::string& out, const OverlapTelemetry& o) {
   out += '}';
 }
 
-void append_rebalance_json(std::string& out, const DistResult::RebalanceTelemetry& r) {
-  out += "{\"enabled\":";
-  out += r.enabled ? "true" : "false";
-  out += ",\"threshold\":" + json_number(r.threshold);
-  out += ",\"decided\":";
-  out += r.decided() ? "true" : "false";
-  out += ",\"phases_evaluated\":" + std::to_string(r.phases_evaluated);
-  out += ",\"phases_engaged\":" + std::to_string(r.phases_engaged);
-  out += ",\"phases_declined\":" + std::to_string(r.phases_declined);
-  out += ",\"ranges_moved\":" + std::to_string(r.ranges_moved);
-  out += ",\"vertices_migrated\":" + std::to_string(r.vertices_migrated);
-  out += ",\"arcs_migrated\":" + std::to_string(r.arcs_migrated);
-  out += ",\"max_lambda_pre\":" + json_number(r.max_lambda_pre);
-  out += ",\"max_lambda_post\":" + json_number(r.max_lambda_post);
-  out += '}';
-}
-
 void append_service_json(std::string& out, const ServiceTelemetry& s) {
   out += "{\"job_id\":" + std::to_string(s.job_id);
   out += ",\"cache_hit\":";
@@ -139,8 +122,6 @@ std::string dist_result_to_json(const DistResult& r) {
   append_breakdown_json(out, r.breakdown);
   out += ",\"overlap\":";
   append_overlap_json(out, r.overlap);
-  out += ",\"rebalance\":";
-  append_rebalance_json(out, r.rebalance);
   out += ",\"phases_detail\":[";
   for (std::size_t i = 0; i < r.phase_telemetry.size(); ++i) {
     const auto& ph = r.phase_telemetry[i];
@@ -157,17 +138,7 @@ std::string dist_result_to_json(const DistResult& r) {
     append_breakdown_json(out, ph.breakdown);
     out += ",\"load_lambda\":" + json_number(ph.load_lambda);
     out += ",\"time_lambda\":" + json_number(ph.time_lambda);
-    out += ",\"rebalance\":{\"evaluated\":";
-    out += ph.rebalance.evaluated ? "true" : "false";
-    out += ",\"engaged\":";
-    out += ph.rebalance.engaged ? "true" : "false";
-    out += ",\"lambda_pre\":" + json_number(ph.rebalance.lambda_pre);
-    out += ",\"lambda_post\":" + json_number(ph.rebalance.lambda_post);
-    out += ",\"lambda_floor\":" + json_number(ph.rebalance.lambda_floor);
-    out += ",\"ranges_moved\":" + std::to_string(ph.rebalance.ranges_moved);
-    out += ",\"vertices_migrated\":" + std::to_string(ph.rebalance.vertices_migrated);
-    out += ",\"arcs_migrated\":" + std::to_string(ph.rebalance.arcs_migrated);
-    out += "}}";
+    out += '}';
   }
   out += "]}";
   return out;

@@ -5,9 +5,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "util/metrics.hpp"
-#include "util/trace.hpp"
-
 namespace dlouvain::core {
 
 namespace {
@@ -22,8 +19,7 @@ struct ResolveRecord {
 RebuildOutput rebuild(comm::Comm& comm, const graph::DistGraph& g,
                       std::span<const CommunityId> owned_community,
                       const GhostCommunities& ghosts, const CommunityLedger& ledger,
-                      util::ThreadPool* pool, bool build_graph,
-                      const DistConfig::RebalanceConfig& rebalance, int phase) {
+                      util::ThreadPool* pool, bool build_graph) {
   const int p = comm.size();
 
   // Steps 1-2: surviving local communities, renumbered 0..n_i-1 in ascending
@@ -122,59 +118,10 @@ RebuildOutput rebuild(comm::Comm& comm, const graph::DistGraph& g,
     }
   });
 
-  // ISSUE 10: pick the new graph's range boundaries before the step 6-7
-  // shipment. The even-vertex split is the incumbent; when re-balancing is
-  // enabled, screen the allreduced arc-count imbalance and, past the
-  // threshold, re-cut edge-balanced boundaries (core/rebalance.hpp). The
-  // verdict is computed from allreduced integers, so it is identical on
-  // every rank and the build below stays collectively aligned. Sampling
-  // traffic is model overhead, not algorithm work: reclassified (like the
-  // overlap probes) so comm.messages stays comparable on vs off.
-  graph::Partition1D part;
-  if (rebalance.enabled) {
-    const util::TraceSpan span(comm.trace(), "rebalance", "collective", phase);
-    const util::TrafficReclassScope reclass(comm.counters(),
-                                            util::Counter::kRebalanceMessages,
-                                            util::Counter::kRebalanceBytes);
-    // Step-1 screen, O(p): per-rank arc counts under the even split. `arcs`
-    // is pre-coalesce (duplicate u->v pairs not yet merged), which tracks
-    // both shipment cost and sweep cost closely enough for a screen.
-    const auto even = graph::partition_even_vertices(new_global_n, p);
-    std::vector<std::int64_t> local_loads(static_cast<std::size_t>(p), 0);
-    for (const Edge& a : arcs)
-      ++local_loads[static_cast<std::size_t>(even.owner(a.src))];
-    const auto loads = comm.allreduce_sum_vec<std::int64_t>(local_loads);
-    const double lambda_pre = load_imbalance(loads);
-    if (lambda_pre < rebalance.threshold) {
-      out.rebalance.evaluated = true;
-      out.rebalance.lambda_pre = out.rebalance.lambda_post = lambda_pre;
-      out.rebalance.partition = even;
-    } else {
-      // Step 2, O(n_coarse): the per-new-vertex arc histogram, then the
-      // pure decision (which may still decline on no-strict-improvement).
-      // The histogram is LOCALLY DEDUPED first: a big community collapses
-      // thousands of parallel (u,v) arcs into one coalesced arc, so raw
-      // multiplicities over-weight heavy coarse vertices by orders of
-      // magnitude and the min-max cut would balance shipment cost instead
-      // of next-phase sweep cost. Per-rank dedup (sort + unique, no extra
-      // traffic) removes the dominant within-rank multiplicity; the
-      // residual across-rank copies over-count a pair at most p-fold.
-      std::vector<std::pair<VertexId, VertexId>> pairs;
-      pairs.reserve(arcs.size());
-      for (const Edge& a : arcs) pairs.emplace_back(a.src, a.dst);
-      std::sort(pairs.begin(), pairs.end());
-      pairs.erase(std::unique(pairs.begin(), pairs.end()), pairs.end());
-      std::vector<std::int64_t> hist(static_cast<std::size_t>(new_global_n), 0);
-      for (const auto& [src, dst] : pairs) ++hist[static_cast<std::size_t>(src)];
-      hist = comm.allreduce_sum_vec<std::int64_t>(hist);
-      out.rebalance = decide_rebalance(new_global_n, p, rebalance.threshold, hist);
-    }
-    part = out.rebalance.partition;
-  } else {
-    part = graph::partition_even_vertices(new_global_n, p);
-  }
-  out.graph = graph::DistGraph::build(comm, part, std::move(arcs), /*symmetrize=*/false,
-                                      pool);
+  // Steps 6-7: ship the new arcs to their owners under the even-vertices
+  // split of the coarse graph and assemble the CSR there.
+  out.graph = graph::DistGraph::build(comm, graph::partition_even_vertices(new_global_n, p),
+                                      std::move(arcs), /*symmetrize=*/false, pool);
   return out;
 }
 

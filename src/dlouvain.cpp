@@ -46,8 +46,6 @@ core::DistConfig Plan::dist_config() const {
   cfg.overlap = overlap_;
   cfg.overlap_probe_iters = overlap_probe_iters_;
   cfg.overlap_min_hidden_s = overlap_min_hidden_s_;
-  cfg.rebalance.enabled = rebalance_;
-  cfg.rebalance.threshold = rebalance_threshold_;
   cfg.threads_per_rank = threads_;
   // Effective checkpoint directory: checkpointing() wins when both are set
   // (validate() rejects two DIFFERENT directories); resume() alone keeps
@@ -76,8 +74,6 @@ void Plan::validate() const {
   if (retransmit_max_ < 0) fail("retransmit() attempts must be >= 0");
   if (retransmit_max_ > 0 && !(retransmit_backoff_ms_ > 0))
     fail("retransmit() backoff must be > 0 ms");
-  if (rebalance_ && !(rebalance_threshold_ >= 1.0))
-    fail("rebalance() threshold must be >= 1 (lambda = max/mean is never below 1)");
   if (resume_ && resume_dir_.empty())
     fail("resume() needs a checkpoint directory");
   if (resume_ && !checkpoint_dir_.empty() && resume_dir_ != checkpoint_dir_) {
@@ -109,7 +105,6 @@ void Plan::validate() const {
   if (shrink_on_rank_loss_) dist_only("shrink_on_rank_loss()");
   if (exchange_mode_ != GhostExchangeMode::kAuto) dist_only("exchange()");
   if (overlap_ != OverlapMode::kAuto) dist_only("overlap()");
-  if (rebalance_) dist_only("rebalance()");
   if (partition_ != graph::PartitionKind::kEvenEdges) dist_only("partition()");
 }
 

@@ -447,6 +447,21 @@ TEST(Checkpoint, ConfigMismatchIsRejected) {
   std::filesystem::remove_all(dir);
 }
 
+// The fingerprint guards resume against a config change, so it must never
+// drift for a config that existed before: a changed value would refuse every
+// checkpoint already on disk. The literals were captured from a build that
+// predates this test; a field added to the fingerprint later must leave
+// both values unchanged at its default.
+TEST(Checkpoint, FingerprintIsPinnedForExistingConfigs) {
+  EXPECT_EQ(core::config_fingerprint(core::DistConfig{}), 0xe8638dc3db6ae6a5ULL);
+
+  auto rich = core::DistConfig::etc(0.25);
+  rich.add_threshold_cycling = true;
+  rich.use_coloring = true;
+  rich.use_neighbor_exchange = true;
+  EXPECT_EQ(core::config_fingerprint(rich), 0x9c8b58202a5a6439ULL);
+}
+
 TEST(Checkpoint, CorruptCheckpointFallsBackToFreshStart) {
   const auto g = make_banded_graph();
   const auto reference = dlouvain::Plan::distributed(2).run(g);

@@ -472,7 +472,7 @@ TEST(OverlapAuto, ManifestCarriesTheOverlapObject) {
   const auto result =
       Plan::distributed(2).threads(1).seed(123).overlap(OverlapMode::kAuto).run(g);
   const auto json = result.to_json();
-  EXPECT_NE(json.find("\"schema\":\"dlouvain-run-manifest/5\""), std::string::npos);
+  EXPECT_NE(json.find("\"schema\":\"dlouvain-run-manifest/6\""), std::string::npos);
   EXPECT_NE(json.find("\"overlap\":{\"mode\":\"auto\""), std::string::npos);
   EXPECT_NE(json.find("\"decision\":"), std::string::npos);
   EXPECT_NE(json.find("\"predicted_hidden_s\":"), std::string::npos);

@@ -47,17 +47,6 @@ overlap-mode runs must have produced identical results, and `--overlap=auto`
 wall-clock must sit within --auto-tolerance of min(on, off) at both the
 zero-latency and the delayed point, with the cost-model decision recorded.
 
-When the current results carry a `rebalance` section (the PR10 trail,
-`micro_rebalance --pr10_json=...` or `--emit pr10 --bench build/bench/
-micro_rebalance`), the phase-boundary load re-balancer contracts are
-checked: the decline path (enabled, unreachable threshold) must be bitwise
-identical to rebalance-off, every run deterministic across reps, and each
-boundary whose even-split lambda reached --lambda-pre-min must have engaged
-and brought lambda down to max(--lambda-bar, the structural floor -- the
-heaviest single coarse vertex over the mean rank load, which no partitioner
-can beat). The decline-path wall must sit within --wall-tolerance of the
-rebalance-off wall.
-
 Exit code 0 = within bounds, 1 = regression or malformed input,
 2 = missing input file (e.g. the baseline was never committed).
 
@@ -115,11 +104,11 @@ MANIFEST_COUNTERS_V4 = (
     "overlap.probe_messages", "overlap.probe_bytes",
 )
 
-# v5 adds the load re-balancer sampling reclassification counters (the
-# step-1/step-2 allreduces are model overhead, not algorithm traffic); v1-v4
+# v6 names the per-phase load-lambda sampling reclassification counters (the
+# allgather is observability overhead, not algorithm traffic); v1-v5
 # documents remain valid inputs without them.
-MANIFEST_COUNTERS_V5 = (
-    "rebalance.messages", "rebalance.bytes",
+MANIFEST_COUNTERS_V6 = (
+    "load_sample.messages", "load_sample.bytes",
 )
 
 
@@ -180,19 +169,8 @@ def check_manifest(manifest, failures):
                 failures.append(
                     f"manifest overlap decision "
                     f"'{overlap.get('decision')}' is not on/off/undecided")
-    # v5 adds the always-present "rebalance" object (knob, per-boundary
-    # verdict counts, worst lambdas) and per-phase load/time lambdas.
+    # v5 adds the per-phase load/time lambdas.
     if version.isdigit() and int(version) >= 5 and engine == "distributed":
-        rebalance = manifest.get("rebalance")
-        if not isinstance(rebalance, dict):
-            failures.append("v5 distributed manifest carries no rebalance object")
-        else:
-            for key in ("enabled", "threshold", "decided", "phases_evaluated",
-                        "phases_engaged", "phases_declined", "ranges_moved",
-                        "vertices_migrated", "arcs_migrated",
-                        "max_lambda_pre", "max_lambda_post"):
-                if key not in rebalance:
-                    failures.append(f"manifest rebalance object missing '{key}'")
         for ph in manifest.get("phases_detail", []):
             if "load_lambda" not in ph or "time_lambda" not in ph:
                 failures.append("v5 phases_detail entry missing load/time lambda")
@@ -203,8 +181,8 @@ def check_manifest(manifest, failures):
         required = required + MANIFEST_COUNTERS_V3
     if version.isdigit() and int(version) >= 4:
         required = required + MANIFEST_COUNTERS_V4
-    if version.isdigit() and int(version) >= 5:
-        required = required + MANIFEST_COUNTERS_V5
+    if version.isdigit() and int(version) >= 6:
+        required = required + MANIFEST_COUNTERS_V6
     for name in required:
         if name not in counters:
             failures.append(f"manifest counters missing '{name}'")
@@ -373,69 +351,6 @@ def check_update_section(update, min_speedup, mod_tolerance, failures):
             f"the from-scratch run (tolerance {mod_tolerance:.0e})")
 
 
-def check_rebalance_section(reb, wall_tolerance, lambda_bar, lambda_pre_min,
-                            mod_tolerance, failures):
-    """Validate the PR10 load re-balancer trail; append problems to failures.
-
-    Contracts: (1) the decline path (enabled but unreachable threshold) must
-    be bitwise identical to rebalance-off, and every run deterministic across
-    reps; (2) at every boundary where the even-split lambda_pre reached
-    lambda_pre_min, the re-balancer must have engaged and brought lambda_post
-    down to max(lambda_bar, lambda_floor) -- lambda_floor is the structural
-    limit max(vertex arcs)/mean(rank arcs) that NO partitioner can beat, and
-    the exact min-max cut hitting it IS the optimum (late tiny coarse graphs
-    routinely have floors above any fixed bar); (3) the decline path's wall
-    must sit within wall_tolerance of rebalance-off (the screen is O(p));
-    (4) on-vs-off modularity within mod_tolerance (quality equivalence; the
-    assignments legitimately differ because sweep order is partition-seeded).
-    """
-    for key in ("decline_identical", "deterministic", "wall_off", "wall_on",
-                "wall_decline", "phases_on", "modularity_delta"):
-        if key not in reb:
-            failures.append(f"rebalance section missing '{key}'")
-            return
-    print(f"rebalance trail: ranks={reb.get('ranks')} "
-          f"threshold={reb.get('threshold')}  wall off {reb['wall_off']:.3f}s, "
-          f"on {reb['wall_on']:.3f}s, decline {reb['wall_decline']:.3f}s; "
-          f"{reb.get('phases_engaged')}/{reb.get('phases_evaluated')} "
-          f"boundaries engaged, {reb.get('vertices_migrated')} vertices moved, "
-          f"|dQ| {reb['modularity_delta']:.2e}")
-    if reb["decline_identical"] is not True:
-        failures.append("decline-path run is not bitwise identical to "
-                        "rebalance-off")
-    if reb["deterministic"] is not True:
-        failures.append("a run produced different bits across reps")
-    for ph in reb["phases_on"]:
-        if not ph.get("evaluated") or ph.get("lambda_pre", 0) < lambda_pre_min:
-            continue
-        bar = max(lambda_bar, ph.get("lambda_floor", 1.0) + 1e-9)
-        post = ph.get("lambda_post", float("inf"))
-        print(f"  boundary after phase {ph.get('phase')}: lambda "
-              f"{ph.get('lambda_pre'):.3f} -> {post:.3f} "
-              f"(floor {ph.get('lambda_floor', 1.0):.3f}, bar {bar:.3f}, "
-              f"{'engaged' if ph.get('engaged') else 'declined'})")
-        if not ph.get("engaged"):
-            failures.append(
-                f"boundary after phase {ph.get('phase')}: lambda_pre "
-                f"{ph.get('lambda_pre'):.3f} >= {lambda_pre_min} but the "
-                f"re-balancer declined")
-        if post > bar:
-            failures.append(
-                f"boundary after phase {ph.get('phase')}: lambda_post "
-                f"{post:.3f} > max(bar {lambda_bar}, floor "
-                f"{ph.get('lambda_floor', 1.0):.3f})")
-    excess = reb["wall_decline"] / max(reb["wall_off"], 1e-12) - 1.0
-    if excess > wall_tolerance:
-        failures.append(
-            f"decline-path wall {reb['wall_decline']:.3f}s is "
-            f"{excess:.1%} over rebalance-off {reb['wall_off']:.3f}s "
-            f"(tolerance {wall_tolerance:.0%})")
-    if reb["modularity_delta"] > mod_tolerance:
-        failures.append(
-            f"rebalance-on modularity drifted {reb['modularity_delta']:.2e} "
-            f"from off (tolerance {mod_tolerance:.0e})")
-
-
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--baseline", required=True, help="committed BENCH_*.json")
@@ -452,7 +367,7 @@ def main():
     parser.add_argument("--manifest",
                         help="also validate this --metrics-out run manifest")
     parser.add_argument("--emit",
-                        choices=("pr3", "pr5", "pr6", "pr7", "pr8", "pr10"),
+                        choices=("pr3", "pr5", "pr6", "pr7", "pr8"),
                         default="pr3",
                         help="which trail --bench should produce (default pr3)")
     parser.add_argument("--ranks", type=int, default=8,
@@ -475,17 +390,6 @@ def main():
     parser.add_argument("--min-lane-speedup", type=float, default=1.05,
                         help="required flat/segmented local-move ratio when "
                              "an overlap_auto (pr8) section is present")
-    parser.add_argument("--wall-tolerance", type=float, default=0.10,
-                        help="allowed decline-path wall excess over "
-                             "rebalance-off when a rebalance (pr10) section "
-                             "is present (0.10 = 10%%)")
-    parser.add_argument("--lambda-bar", type=float, default=1.15,
-                        help="required post-rebalance arc lambda (or the "
-                             "structural floor, whichever is higher) at "
-                             "engaged boundaries of the pr10 trail")
-    parser.add_argument("--lambda-pre-min", type=float, default=1.5,
-                        help="even-split lambda above which a pr10 boundary "
-                             "must engage and meet --lambda-bar")
     args = parser.parse_args()
 
     if bool(args.current) == bool(args.bench):
@@ -512,8 +416,6 @@ def main():
         elif args.emit == "pr8":
             cmd += [f"--pr8_ranks={args.ranks}",
                     f"--pr8_delay_ms={args.delay_ms}"]
-        elif args.emit == "pr10":
-            cmd += [f"--pr10_ranks={args.ranks}"]
         print("+", " ".join(cmd), flush=True)
         result = subprocess.run(cmd)
         if result.returncode != 0:
@@ -536,10 +438,6 @@ def main():
                              args.mod_tolerance, failures)
     if "arq" in current:
         check_arq_section(current["arq"], failures)
-    if "rebalance" in current:
-        check_rebalance_section(current["rebalance"], args.wall_tolerance,
-                                args.lambda_bar, args.lambda_pre_min,
-                                args.mod_tolerance, failures)
     if "overlap_auto" in current:
         check_overlap_auto(current["overlap_auto"], args.auto_tolerance,
                            failures)

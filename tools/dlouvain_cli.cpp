@@ -14,11 +14,6 @@
 //   --overlap off|on|auto          hide exchange latency behind interior
 //                                  compute (default auto = on when ranks > 1;
 //                                  never changes results)
-//   --rebalance                    re-balance vertex ownership at phase
-//                                  boundaries when the measured arc-count
-//                                  imbalance exceeds the threshold
-//   --rebalance-threshold <x>      imbalance lambda = max/mean that triggers
-//                                  migration (default 1.5)
 //   --output <file>                write "vertex community" lines
 //   --stats                        print degree/component statistics first
 //
@@ -129,10 +124,6 @@ int run_cli(int argc, char** argv) {
       cli.get_string("exchange", "auto", "ghost update wire format: dense|delta|auto");
   const auto overlap_name = cli.get_string(
       "overlap", "auto", "overlap exchanges with interior compute: off|on|auto");
-  const bool rebalance = cli.get_flag(
-      "rebalance", false, "re-balance vertex ownership at phase boundaries");
-  const double rebalance_threshold = cli.get_double(
-      "rebalance-threshold", 1.5, "imbalance lambda (max/mean) that triggers migration");
   const auto output = cli.get_string("output", "", "write 'vertex community' lines");
   const bool stats = cli.get_flag("stats", false, "print graph statistics first");
   const int summary = static_cast<int>(
@@ -257,7 +248,6 @@ int run_cli(int argc, char** argv) {
                   .max_restarts(max_restarts)
                   .retransmit(retransmit, retransmit_backoff_ms)
                   .shrink_on_rank_loss(shrink_on_rank_loss);
-  if (rebalance) plan.rebalance(rebalance_threshold);
   if (!checkpoint_dir.empty()) plan.checkpointing(checkpoint_dir, checkpoint_every);
   if (resume) plan.resume(checkpoint_dir);
   comm::FaultPlan faults;

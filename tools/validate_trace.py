@@ -14,16 +14,14 @@ then checks:
   * the default --overlap=auto run recorded its cost-model probe iterations
     as `overlap_probe` spans, and the manifest's overlap object reached a
     decision consistent with the probes;
-  * v5 manifests carry the "rebalance" object and per-phase load/time
-    lambdas (the per-phase sampling also shows up as `rebalance` spans on
-    every run), and with --rebalance the CLI is run with the re-balancer
-    enabled and the manifest must record a decided rebalance object.
+  * v5+ manifests carry per-phase load/time lambdas, and the per-phase
+    sampling collective behind them shows up as `load_sample` spans.
 
 Exit code 0 = both artifacts valid, 1 = validation failure, 2 = the CLI
 itself failed.
 
 Usage:
-  validate_trace.py --cli build/tools/dlouvain_cli [--ranks 2] [--rebalance]
+  validate_trace.py --cli build/tools/dlouvain_cli [--ranks 2]
 """
 
 import argparse
@@ -66,18 +64,17 @@ def check_trace(path, min_pids):
     names = {ev["name"] for ev in events if ev["ph"] == "X"}
     # overlap_probe: the cost-model sampling iterations behind the default
     # --overlap=auto decision must be visible in the trace, not silent.
-    # rebalance: the per-phase load-lambda sampling collective runs on EVERY
-    # run (and also wraps the boundary decision when --rebalance is on), so
-    # its span must always appear.
+    # load_sample: the per-phase load-lambda sampling collective runs on
+    # EVERY run, so its span must always appear.
     for required in ("phase", "iteration", "compute", "overlap_probe",
-                     "rebalance"):
+                     "load_sample"):
         if required not in names:
             fail(f"{path}: span taxonomy missing '{required}' "
                  f"(got {sorted(names)})")
     print(f"trace ok: {spans} spans across {len(pids)} pids")
 
 
-def check_manifest(path, rebalance_on=False):
+def check_manifest(path):
     with open(path, "r", encoding="utf-8") as handle:
         manifest = json.load(handle)
     schema = manifest.get("schema", "")
@@ -116,23 +113,16 @@ def check_manifest(path, rebalance_on=False):
             if overlap.get("probe_iterations_off", 0) <= 0:
                 fail(f"{path}: auto decision recorded without probe "
                      f"iterations")
-    # v5 adds the always-present "rebalance" object plus per-phase load/time
-    # lambdas. When the run had --rebalance, the object must show the knob
-    # enabled and a decided verdict (at least one boundary screened).
+    # v5 adds the per-phase load/time lambdas, sampled on every run.
     if version.isdigit() and int(version) >= 5:
-        rebalance = manifest.get("rebalance")
-        if not isinstance(rebalance, dict) or "decided" not in rebalance:
-            fail(f"{path}: v5 manifest carries no rebalance object")
-        for ph in manifest.get("phases_detail", []):
-            if "load_lambda" not in ph or "time_lambda" not in ph:
-                fail(f"{path}: v5 phases_detail entry missing load/time lambda")
-        if rebalance_on:
-            if rebalance.get("enabled") is not True:
-                fail(f"{path}: --rebalance run but the manifest knob is off")
-            if rebalance.get("decided") is not True:
-                fail(f"{path}: --rebalance run never screened a boundary")
-    elif rebalance_on:
-        fail(f"{path}: --rebalance run emitted a pre-v5 manifest ({schema})")
+        phases = manifest.get("phases_detail", [])
+        if not phases:
+            fail(f"{path}: v5+ manifest carries no phases_detail")
+        for ph in phases:
+            for key in ("load_lambda", "time_lambda"):
+                if not isinstance(ph.get(key), (int, float)) or ph[key] < 1:
+                    fail(f"{path}: phase {ph.get('phase')} {key} "
+                         f"{ph.get(key)!r} is not a lambda >= 1")
     # Optional "service" section (manifests replied by dlouvaind carry one;
     # direct CLI runs do not). When present it must be well-formed.
     if "service" in manifest:
@@ -154,9 +144,6 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--cli", required=True, help="dlouvain_cli binary")
     parser.add_argument("--ranks", type=int, default=2)
-    parser.add_argument("--rebalance", action="store_true",
-                        help="run the CLI with --rebalance and require a "
-                             "decided v5 rebalance object")
     args = parser.parse_args()
 
     with tempfile.TemporaryDirectory(prefix="dlouvain_trace_") as tmp:
@@ -167,15 +154,13 @@ def main():
             "--ranks", str(args.ranks), "--trace-out", trace_path,
             "--metrics-out", manifest_path,
         ]
-        if args.rebalance:
-            cmd.append("--rebalance")
         print("+", " ".join(cmd), flush=True)
         result = subprocess.run(cmd)
         if result.returncode != 0:
             print(f"FAIL: CLI exited with {result.returncode}")
             return 2
         check_trace(trace_path, min_pids=args.ranks)
-        check_manifest(manifest_path, rebalance_on=args.rebalance)
+        check_manifest(manifest_path)
     print("OK")
     return 0
 
