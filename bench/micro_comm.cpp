@@ -1,6 +1,9 @@
 // Micro-benchmarks for the message-passing substrate: latency/throughput of
 // the collectives the Louvain iteration leans on (all-reduce dominates the
-// paper's V-A profile at 40%).
+// paper's V-A profile at 40%), plus the transport's per-message costs: the
+// CRC32 kernel alone (BM_Crc32, bytes/s) and a 64 KiB two-rank round trip
+// through the mailboxes, which seals and verifies every payload
+// (BM_MailboxPutGet).
 //
 // Doubles as the PR7 ARQ-overhead emitter (ISSUE 7 acceptance run): with any
 // --pr7_* flag the binary skips Google Benchmark and instead times a fixed
@@ -30,6 +33,7 @@
 #include "comm/fault.hpp"
 #include "comm/world.hpp"
 #include "core/metrics.hpp"
+#include "util/crc32.hpp"
 #include "util/metrics.hpp"
 #include "util/timer.hpp"
 
@@ -103,6 +107,41 @@ void BM_PointToPointPingPong(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * rounds_per_run);
 }
 BENCHMARK(BM_PointToPointPingPong);
+
+void BM_Crc32(benchmark::State& state) {
+  const auto size = static_cast<std::size_t>(state.range(0));
+  std::vector<std::byte> buf(size);
+  for (std::size_t i = 0; i < size; ++i) buf[i] = static_cast<std::byte>(i * 131 + 7);
+  for (auto _ : state) benchmark::DoNotOptimize(dlouvain::util::crc32(buf));
+  state.SetBytesProcessed(state.iterations() * static_cast<std::int64_t>(size));
+}
+BENCHMARK(BM_Crc32)->Arg(4096)->Arg(65536)->Arg(4194304);
+
+void BM_MailboxPutGet(benchmark::State& state) {
+  // 64 KiB ping-pong between two ranks: each leg is one put (seal, enqueue)
+  // and one get (dequeue, verify), so this is the per-message transport
+  // cost at a ghost-exchange-sized payload.
+  constexpr std::size_t kWords = (64 << 10) / sizeof(std::int64_t);
+  const int rounds_per_run = 64;
+  for (auto _ : state) {
+    run(2, [&](Comm& comm) {
+      std::vector<std::int64_t> buf(kWords, comm.rank());
+      for (int i = 0; i < rounds_per_run; ++i) {
+        if (comm.rank() == 0) {
+          comm.send<std::int64_t>(1, 0, buf);
+          buf = comm.recv<std::int64_t>(1, 1);
+        } else {
+          buf = comm.recv<std::int64_t>(0, 0);
+          comm.send<std::int64_t>(0, 1, buf);
+        }
+      }
+      benchmark::DoNotOptimize(buf);
+    });
+  }
+  state.SetBytesProcessed(state.iterations() * rounds_per_run * 2 *
+                          static_cast<std::int64_t>(kWords * sizeof(std::int64_t)));
+}
+BENCHMARK(BM_MailboxPutGet)->UseRealTime();
 
 // --- PR7 trail: rung-1 ARQ overhead on a deterministic ring stream ---
 

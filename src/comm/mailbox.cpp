@@ -57,10 +57,13 @@ std::string wants_desc(std::span<const Mailbox::Want> wants) {
 }  // namespace
 
 void Mailbox::put(Message msg) {
+  // Seal before taking the lock: the checksum depends only on the payload,
+  // so concurrent senders to this mailbox hash in parallel and the mutex
+  // covers just the enqueue.
+  msg.crc = util::crc32(msg.payload);
   {
     const std::lock_guard<std::mutex> lock(mutex_);
     msg.seq = next_put_seq_[stream_key(msg.src, msg.tag)]++;
-    msg.crc = util::crc32(msg.payload);
     msg.arrived_at = Clock::now();
 
     if (arq_enabled()) {
@@ -105,12 +108,15 @@ void Mailbox::put(Message msg) {
 }
 
 Mailbox::ScanResult Mailbox::scan_locked(std::span<const Want> wants) {
-  // Queue order is put order across ALL streams, so delivering the first
+  // Queue order is put order across ALL streams, so dequeuing the first
   // deliverable match is arrival-order completion. Per-stream FIFO needs no
   // extra bookkeeping: only the entry whose seq equals the stream's
   // next-deliver counter is a candidate, so later entries (including
   // retransmitted copies, which sit out of arrival order at the back) can
-  // never overtake.
+  // never overtake. The dequeued head is NOT yet delivered: the caller
+  // verifies its checksum outside the lock and only then advances the
+  // stream (verify_head). No other scan can run in between because only
+  // the owner thread receives from its mailbox (see mailbox.hpp).
   ScanResult result;
   const auto now = Clock::now();
   struct Gap {
@@ -166,31 +172,9 @@ Mailbox::ScanResult Mailbox::scan_locked(std::span<const Want> wants) {
       ++i;
       continue;
     }
-    const bool crc_ok = util::crc32(m.payload) == m.crc;
-    if (!crc_ok && arq_enabled()) {
-      // Rung 1: discard the corrupt copy and NACK a clean retransmission
-      // from the retained store. The stream stays blocked until it lands.
-      const Rank src = m.src;
-      const Tag tag = m.tag;
-      const std::uint64_t seq = m.seq;
-      queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(i));
-      nack_locked(key, src, tag, seq, now, "checksum mismatch", result);
-      satisfied.push_back(key);  // recovery in progress; no second NACK below
-      continue;
-    }
     result.msg = std::move(queue_[i]);
     queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(i));
-    ++expected;
-    if (!crc_ok) {
-      throw CorruptMessage("rank " + std::to_string(owner_) +
-                           ": payload checksum mismatch on message (src=" +
-                           std::to_string(result.msg.src) +
-                           ", tag=" + std::to_string(result.msg.tag) +
-                           ", seq=" + std::to_string(result.msg.seq) + ", " +
-                           std::to_string(result.msg.payload.size()) + " bytes)");
-    }
-    ack_locked(key, result.msg.seq);
-    result.delivered = true;
+    result.dequeued = true;
     result.want_index = static_cast<std::size_t>(match - wants.begin());
     return result;
   }
@@ -309,6 +293,35 @@ void Mailbox::ack_locked(std::uint64_t key, std::uint64_t acked) {
   if (ait != arq_.end() && ait->second.seq <= acked) arq_.erase(ait);
 }
 
+bool Mailbox::verify_head(std::unique_lock<std::mutex>& lock, const Message& msg) {
+  lock.unlock();
+  const bool crc_ok = util::crc32(msg.payload) == msg.crc;
+  lock.lock();
+  const std::uint64_t key = stream_key(msg.src, msg.tag);
+  if (crc_ok) {
+    ++next_deliver_seq_[key];
+    ack_locked(key, msg.seq);
+    // Successful delivery is this rank's heartbeat: peers blocked on a
+    // deadline can tell a slow world from a dead one.
+    if (world_ != nullptr) world_->beat(owner_);
+    return true;
+  }
+  if (arq_enabled()) {
+    // Rung 1: discard the corrupt copy and NACK a clean retransmission from
+    // the retained store. The stream stays blocked until it lands; the
+    // caller's next scan picks up the backoff gate as its sleep bound.
+    ScanResult ignored;
+    nack_locked(key, msg.src, msg.tag, msg.seq, Clock::now(), "checksum mismatch", ignored);
+    return false;
+  }
+  ++next_deliver_seq_[key];
+  throw CorruptMessage("rank " + std::to_string(owner_) +
+                       ": payload checksum mismatch on message (src=" +
+                       std::to_string(msg.src) + ", tag=" + std::to_string(msg.tag) +
+                       ", seq=" + std::to_string(msg.seq) + ", " +
+                       std::to_string(msg.payload.size()) + " bytes)");
+}
+
 std::pair<Message, std::size_t> Mailbox::get_any_impl(std::span<const Want> wants) {
   std::unique_lock<std::mutex> lock(mutex_);
   const WaitingGuard waiting(waiting_, wants);
@@ -323,11 +336,9 @@ std::pair<Message, std::size_t> Mailbox::get_any_impl(std::span<const Want> want
     if (aborted_) throw WorldAborted{};
 
     ScanResult scan = scan_locked(wants);
-    if (scan.delivered) {
-      // Successful delivery is this rank's heartbeat: peers blocked on a
-      // deadline can tell a slow world from a dead one.
-      if (world_ != nullptr) world_->beat(owner_);
-      return {std::move(scan.msg), scan.want_index};
+    if (scan.dequeued) {
+      if (verify_head(lock, scan.msg)) return {std::move(scan.msg), scan.want_index};
+      continue;  // corrupt head NACKed; re-scan (other streams may be ready)
     }
 
     if (Clock::now() >= deadline) {
@@ -382,12 +393,11 @@ std::pair<Message, std::size_t> Mailbox::get_any(std::span<const Want> wants) {
 }
 
 std::optional<Message> Mailbox::try_get(Rank src, Tag tag) {
-  const std::lock_guard<std::mutex> lock(mutex_);
+  std::unique_lock<std::mutex> lock(mutex_);
   if (aborted_) throw WorldAborted{};
   const Want want{src, tag};
   ScanResult scan = scan_locked({&want, 1});
-  if (!scan.delivered) return std::nullopt;
-  if (world_ != nullptr) world_->beat(owner_);
+  if (!scan.dequeued || !verify_head(lock, scan.msg)) return std::nullopt;
   return std::move(scan.msg);
 }
 

@@ -11,7 +11,10 @@
 //    and a CRC32 of its payload; receives verify the checksum (CorruptMessage
 //    on mismatch) and silently drop duplicate sequence numbers, so injected
 //    or transport-level duplication and bit-rot are caught instead of
-//    silently corrupting the protocol;
+//    silently corrupting the protocol. Neither hash runs under the mutex:
+//    put() seals the payload before locking, and a receive dequeues the
+//    stream head under the lock, verifies it unlocked, then re-locks to
+//    advance the stream (or NACK / throw on a mismatch);
 //  * blocked receives honour a configurable deadline; on expiry they throw
 //    CommTimeout carrying a deadlock diagnostic (which ranks are blocked on
 //    which (src, tag), per-mailbox pending depths) instead of hanging
@@ -27,6 +30,15 @@
 // copies carry the original sequence number, so the existing duplicate-
 // suppression machinery makes the repair invisible to the algorithm:
 // delivered bytes and order are bitwise those of a clean wire.
+//
+// Single-receiver contract: any number of threads may put() into a mailbox,
+// but only its owner rank's thread may receive from it (get / try_get /
+// get_any). The out-of-lock verify relies on this: between dequeuing a
+// stream head and advancing that stream's next-deliver counter no other
+// receive may scan the queue, or it would see a hole where the head was and
+// NACK (or fail) a message that is merely being checked. The receive-side
+// counters (duplicates dropped, ARQ NACKs) are single-writer for the same
+// reason (util/metrics.hpp).
 #pragma once
 
 #include <chrono>
@@ -86,8 +98,9 @@ struct RankDead : CommFailure {
 
 class Mailbox {
  public:
-  /// `world` may be null (standalone use in unit tests): no deadline, no
-  /// injection, no global counters. `timeout_seconds` <= 0 = wait forever.
+  /// `world` may be null (standalone use in unit tests): no heartbeat
+  /// verdicts, no global counters; the deadline and `injector` still apply.
+  /// `timeout_seconds` <= 0 = wait forever.
   /// `retransmit_max` > 0 enables link-level ARQ: that many retransmission
   /// attempts per message (first retry after `retransmit_backoff_ms`,
   /// doubling per attempt, capped) before the link escalates.
@@ -98,10 +111,10 @@ class Mailbox {
         injector_(injector), retransmit_max_(retransmit_max),
         retransmit_backoff_ms_(retransmit_backoff_ms) {}
 
-  /// Deposit a message (buffered send: never blocks). Stamps the sequence
-  /// number and payload CRC, retains a clean copy for retransmission when
-  /// ARQ is on, then applies any injected fate (delay / duplicate / corrupt
-  /// / lose) from the world's FaultInjector.
+  /// Deposit a message (buffered send: never blocks). Computes the payload
+  /// CRC before locking, stamps the sequence number, retains a clean copy
+  /// (with that CRC) for retransmission when ARQ is on, then applies any
+  /// injected fate (delay / duplicate / corrupt / lose) from the injector.
   void put(Message msg);
 
   /// Block until a message from `src` with tag `tag` is available, then
@@ -156,18 +169,23 @@ class Mailbox {
   [[nodiscard]] std::string status_line_locked() const;
 
   /// One pass over the queue under the caller's lock: drop duplicates,
-  /// detect stream gaps, and deliver the oldest visible entry matching any
-  /// want. `head_delayed`/`next_visible` report a matching-but-not-yet-
-  /// visible head (or an ARQ backoff in progress) so blocking callers can
-  /// bound their sleep.
+  /// detect stream gaps, and dequeue the oldest visible stream head matching
+  /// any want (unverified; see verify_head). `head_delayed`/`next_visible`
+  /// report a matching-but-not-yet-visible head (or an ARQ backoff in
+  /// progress) so blocking callers can bound their sleep.
   struct ScanResult {
-    bool delivered{false};
+    bool dequeued{false};
     Message msg{};
     std::size_t want_index{0};
     bool head_delayed{false};
     std::chrono::steady_clock::time_point next_visible{};
   };
   ScanResult scan_locked(std::span<const Want> wants);
+  /// Check a head dequeued by scan_locked: drops `lock` for the CRC, then
+  /// re-takes it. On a match advances the stream, acks and beats, returning
+  /// true. On a mismatch NACKs it with ARQ on (returns false; the stream
+  /// stays blocked) or advances and throws CorruptMessage with ARQ off.
+  bool verify_head(std::unique_lock<std::mutex>& lock, const Message& msg);
   std::pair<Message, std::size_t> get_any_impl(std::span<const Want> wants);
 
   // --- rung-1 ARQ internals (all under mutex_) ---
@@ -189,9 +207,8 @@ class Mailbox {
   [[nodiscard]] bool arq_enabled() const noexcept { return retransmit_max_ > 0; }
   /// NACK `seq` on stream (src, tag): retransmit from the retained store,
   /// honouring the backoff gate, or throw CommFailure once the retry budget
-  /// is exhausted. Updates `result`'s sleep bound. `now` is the scan's
-  /// timestamp. Returns true if the caller should keep scanning (the stream
-  /// stays blocked either way).
+  /// is exhausted. Updates `result`'s sleep bound. `now` is the caller's
+  /// timestamp. The stream stays blocked until the repair lands.
   void nack_locked(std::uint64_t key, Rank src, Tag tag, std::uint64_t seq,
                    std::chrono::steady_clock::time_point now, const char* why,
                    ScanResult& result);

@@ -11,10 +11,12 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "comm/async.hpp"
 #include "comm/comm.hpp"
 #include "comm/fault.hpp"
+#include "comm/mailbox.hpp"
 #include "comm/world.hpp"
 #include "util/metrics.hpp"
 
@@ -680,6 +682,171 @@ TEST(ArqLayer, RetransmitPreservesDeterminism) {
     return got;
   };
   EXPECT_EQ(collect(0.0), collect(0.2));
+}
+
+// ---- Receive window: checksum verified after dequeue, outside the lock ----
+//
+// These drive the mailboxes directly (no World), so the fault plan's fate of
+// every original message can be replayed from a second FaultInjector with
+// the exact (dst, src, tag, seq) keys, and every copy on the wire accounted
+// for.
+
+namespace {
+
+constexpr int kWindowRanks = 4;
+constexpr int kWindowMessages = 24;  // per (src, dst) stream
+constexpr dc::Tag kWindowTag = 11;
+
+/// Message `i` of stream src -> dst. Lengths 1..61 bytes cover the CRC's
+/// tail loop alone and after several 8-byte steps.
+std::vector<std::byte> window_payload(Rank src, Rank dst, int i) {
+  std::vector<std::byte> bytes(static_cast<std::size_t>(1 + (i * 7) % 61));
+  for (std::size_t b = 0; b < bytes.size(); ++b)
+    bytes[b] = static_cast<std::byte>((src * 31 + dst * 17 + i * 13 + static_cast<int>(b)) & 0xff);
+  return bytes;
+}
+
+dc::FaultPlan window_plan() {
+  return dc::FaultPlan().with_seed(21).corrupt(0.3).duplicate(0.5);
+}
+
+struct WindowRun {
+  std::vector<std::vector<std::vector<std::vector<std::byte>>>> got;  ///< [dst][src][i]
+  std::int64_t duplicates_dropped{0};
+  std::size_t pending{0};
+  std::size_t retained_bytes{0};
+  std::vector<std::string> errors;
+};
+
+/// Every rank sends kWindowMessages to every other rank, then drains its
+/// own mailbox in arrival order with get_any while its peers are still
+/// sending, and finally polls each stream once more so a duplicate queued
+/// behind the last delivery is dropped rather than left pending.
+WindowRun run_window(dc::FaultInjector* injector, int retransmit_max) {
+  // A 10 ms backoff keeps every retransmission strictly after the rejected
+  // copy's identical twin has been seen, so no NACK is issued twice. The
+  // 20 s deadline turns a lost message into a CommTimeout, not a hang.
+  std::vector<std::unique_ptr<dc::Mailbox>> boxes;
+  for (Rank r = 0; r < kWindowRanks; ++r)
+    boxes.push_back(std::make_unique<dc::Mailbox>(nullptr, r, 20.0, injector, retransmit_max, 10.0));
+  WindowRun out;
+  out.got.assign(kWindowRanks, std::vector<std::vector<std::vector<std::byte>>>(kWindowRanks));
+  out.errors.resize(kWindowRanks);
+  std::vector<std::thread> threads;
+  for (Rank me = 0; me < kWindowRanks; ++me) {
+    threads.emplace_back([&, me] {
+      try {
+        for (int i = 0; i < kWindowMessages; ++i)
+          for (Rank dst = 0; dst < kWindowRanks; ++dst)
+            if (dst != me) boxes[dst]->put(dc::Message{me, kWindowTag, window_payload(me, dst, i)});
+        std::vector<dc::Mailbox::Want> wants;
+        for (Rank src = 0; src < kWindowRanks; ++src)
+          if (src != me) wants.push_back({src, kWindowTag});
+        auto& mine = out.got[static_cast<std::size_t>(me)];
+        for (int n = 0; n < (kWindowRanks - 1) * kWindowMessages; ++n) {
+          auto [msg, index] = boxes[me]->get_any(wants);
+          mine[static_cast<std::size_t>(wants[index].src)].push_back(std::move(msg.payload));
+        }
+        for (const auto& w : wants)
+          if (boxes[me]->try_get(w.src, w.tag)) throw std::logic_error("extra message");
+      } catch (const std::exception& e) {
+        out.errors[static_cast<std::size_t>(me)] = e.what();
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  for (const auto& box : boxes) {
+    out.duplicates_dropped += box->duplicates_dropped();
+    out.pending += box->pending();
+    out.retained_bytes += box->retained_bytes();
+  }
+  return out;
+}
+
+}  // namespace
+
+TEST(ArqLayer, ReceiveWindowRepairsCorruptHeadsInOrderAndCountsEveryDuplicate) {
+  const WindowRun clean = run_window(nullptr, 0);
+  dc::FaultInjector injector(window_plan());
+  const WindowRun faulty = run_window(&injector, 8);
+  for (Rank r = 0; r < kWindowRanks; ++r) {
+    EXPECT_EQ(clean.errors[static_cast<std::size_t>(r)], "") << "clean rank " << r;
+    EXPECT_EQ(faulty.errors[static_cast<std::size_t>(r)], "") << "faulty rank " << r;
+  }
+
+  // Byte for byte and in order: every corrupted original was replaced by
+  // its retransmitted clean copy at the same position of its stream, and no
+  // later seq overtook it while it was under repair.
+  EXPECT_EQ(faulty.got, clean.got);
+  for (Rank dst = 0; dst < kWindowRanks; ++dst)
+    for (Rank src = 0; src < kWindowRanks; ++src)
+      EXPECT_EQ(faulty.got[static_cast<std::size_t>(dst)][static_cast<std::size_t>(src)].size(),
+                src == dst ? 0u : static_cast<std::size_t>(kWindowMessages));
+
+  // Replay the fate of every original from an identical injector.
+  dc::FaultInjector replica(window_plan());
+  std::int64_t corrupted = 0;
+  std::int64_t duplicated = 0;
+  std::int64_t duplicated_corrupt = 0;
+  for (Rank dst = 0; dst < kWindowRanks; ++dst) {
+    for (Rank src = 0; src < kWindowRanks; ++src) {
+      if (src == dst) continue;
+      for (int i = 0; i < kWindowMessages; ++i) {
+        const auto fate = replica.message_fate(dst, src, kWindowTag, static_cast<std::uint64_t>(i),
+                                               window_payload(src, dst, i).size());
+        corrupted += fate.corrupt;
+        duplicated += fate.duplicate;
+        duplicated_corrupt += fate.duplicate && fate.corrupt;
+      }
+    }
+  }
+  ASSERT_GT(corrupted, 0);
+  ASSERT_GT(duplicated_corrupt, 0);
+  EXPECT_EQ(injector.duplicated.load(), duplicated);
+  // Corrupted retransmissions come on top of the corrupted originals.
+  EXPECT_GE(injector.corrupted.load(), corrupted);
+
+  // Every injected duplicate is accounted for. A duplicate of a clean
+  // original is dropped by sequence number; a duplicate of a corrupted
+  // original is the same corrupted bytes (the bit flips before the copy is
+  // enqueued), so its checksum rejects it while the first copy's NACK is
+  // still in backoff. Nothing is left queued or retained.
+  EXPECT_EQ(faulty.duplicates_dropped, duplicated - duplicated_corrupt);
+  EXPECT_EQ(faulty.pending, 0u);
+  EXPECT_EQ(faulty.retained_bytes, 0u);
+  EXPECT_EQ(clean.duplicates_dropped, 0);
+}
+
+TEST(ArqLayer, CorruptHeadWithoutArqThrowsNamingItsStream) {
+  // ARQ off: the stream delivers clean messages up to the first corrupted
+  // one, whose verification throws CorruptMessage naming (src, tag, seq).
+  constexpr Rank kSrc = 2;
+  constexpr Rank kDst = 0;
+  dc::FaultInjector replica(window_plan());
+  int first_corrupt = -1;
+  for (int i = 0; i < kWindowMessages && first_corrupt < 0; ++i) {
+    if (replica.message_fate(kDst, kSrc, kWindowTag, static_cast<std::uint64_t>(i),
+                             window_payload(kSrc, kDst, i).size())
+            .corrupt)
+      first_corrupt = i;
+  }
+  ASSERT_GT(first_corrupt, 0) << "plan must deliver at least one clean message first";
+
+  dc::FaultInjector injector(window_plan());
+  dc::Mailbox box(nullptr, kDst, 0.0, &injector);
+  for (int i = 0; i < kWindowMessages; ++i)
+    box.put(dc::Message{kSrc, kWindowTag, window_payload(kSrc, kDst, i)});
+  for (int i = 0; i < first_corrupt; ++i)
+    ASSERT_EQ(box.get(kSrc, kWindowTag).payload, window_payload(kSrc, kDst, i)) << "seq " << i;
+  try {
+    (void)box.get(kSrc, kWindowTag);
+    FAIL() << "expected CorruptMessage at seq " << first_corrupt;
+  } catch (const dc::CorruptMessage& e) {
+    const std::string want = "(src=" + std::to_string(kSrc) + ", tag=" +
+                             std::to_string(kWindowTag) + ", seq=" +
+                             std::to_string(first_corrupt) + ",";
+    EXPECT_NE(std::string(e.what()).find(want), std::string::npos) << e.what();
+  }
 }
 
 // ---- Rung 2: heartbeat lane (slow-vs-dead verdicts) ------------------------

@@ -1,12 +1,19 @@
 // Unit tests for the util library: PRNG determinism and distribution sanity,
-// timers, running stats, CLI parsing, table rendering.
+// timers, running stats, CLI parsing, table rendering, and the CRC32 kernel
+// (known answers plus a differential check against a bytewise reference).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstddef>
+#include <cstdint>
 #include <set>
+#include <span>
 #include <sstream>
 #include <thread>
+#include <vector>
 
 #include "util/cli.hpp"
+#include "util/crc32.hpp"
 #include "util/prng.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
@@ -180,4 +187,69 @@ TEST(Table, MarkdownHasSeparatorRow) {
 TEST(Table, FmtFormatsNumbers) {
   EXPECT_EQ(du::TextTable::fmt(3.14159, 2), "3.14");
   EXPECT_EQ(du::TextTable::fmt(static_cast<long long>(42)), "42");
+}
+
+// ---- CRC32: the slice-by-8 kernel must equal the plain IEEE definition ----
+
+namespace {
+
+/// The textbook reflected IEEE CRC32, one bit at a time: the reference the
+/// sliced kernel is checked against (deliberately table-free).
+std::uint32_t reference_crc32(const unsigned char* data, std::size_t size) {
+  std::uint32_t c = 0xffffffffu;
+  for (std::size_t i = 0; i < size; ++i) {
+    c ^= data[i];
+    for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xedb88320u ^ (c >> 1) : c >> 1;
+  }
+  return c ^ 0xffffffffu;
+}
+
+std::vector<unsigned char> random_bytes(std::size_t n, std::uint64_t seed) {
+  du::Xoshiro256StarStar rng(seed);
+  std::vector<unsigned char> bytes(n);
+  for (auto& b : bytes) b = static_cast<unsigned char>(rng() >> 56);
+  return bytes;
+}
+
+}  // namespace
+
+TEST(Crc32, KnownAnswers) {
+  const char check[] = "123456789";
+  EXPECT_EQ(du::crc32(check, 9), 0xCBF43926u);
+  EXPECT_EQ(du::crc32(nullptr, 0), 0u);
+  EXPECT_EQ(du::crc32(std::span<const std::byte>{}), 0u);
+  const char fox[] = "The quick brown fox jumps over the lazy dog";
+  EXPECT_EQ(du::crc32(fox, sizeof(fox) - 1), 0x414FA339u);
+}
+
+TEST(Crc32, EveryLengthAndOffsetMatchesBytewiseReference) {
+  // Lengths 0..256 cover the empty input, every tail length (0..7) after
+  // 0..32 full 8-byte steps; offsets 0..7 cover every misalignment.
+  const auto buf = random_bytes(256 + 8, 0xc0ffee);
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t len = 0; len <= 256; ++len) {
+      const unsigned char* p = buf.data() + offset;
+      ASSERT_EQ(du::crc32(p, len), reference_crc32(p, len))
+          << "offset " << offset << ", length " << len;
+    }
+  }
+}
+
+TEST(Crc32, IncrementalUpdateOverRandomSplitsMatchesOneShot) {
+  const auto buf = random_bytes(5000, 17);
+  const std::uint32_t want = reference_crc32(buf.data(), buf.size());
+  ASSERT_EQ(du::crc32(buf.data(), buf.size()), want);
+  du::Xoshiro256StarStar rng(99);
+  for (int trial = 0; trial < 50; ++trial) {
+    du::Crc32 crc;
+    std::size_t at = 0;
+    while (at < buf.size()) {
+      // Mostly short chunks (tail paths, odd boundaries), sometimes long.
+      const std::size_t cap = rng.next_below(4) == 0 ? 600 : 13;
+      const std::size_t n = std::min<std::size_t>(rng.next_below(cap + 1), buf.size() - at);
+      crc.update(buf.data() + at, n);
+      at += n;
+    }
+    ASSERT_EQ(crc.value(), want) << "trial " << trial;
+  }
 }
