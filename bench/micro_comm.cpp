@@ -345,7 +345,6 @@ int main(int argc, char** argv) {
              [&](const std::string& v) {
                opt.messages = 1 << std::max(1, std::stoi(v) - 1);
              }) ||
-        grab("--pr7_dist_scale=", [](const std::string&) {}) ||  // driver compat
         grab("--pr7_reps=", [&](const std::string& v) { opt.reps = std::stoi(v); }) ||
         grab("--pr7_ranks=", [&](const std::string& v) { opt.ranks = std::stoi(v); }) ||
         grab("--pr7_messages=",

@@ -250,7 +250,6 @@ int main(int argc, char** argv) {
     const bool known =
         grab("--pr6_json=", [&](const std::string& v) { opt.json_path = v; }) ||
         grab("--pr6_scale=", [&](const std::string& v) { opt.scale = std::stoi(v); }) ||
-        grab("--pr6_dist_scale=", [&](const std::string&) {}) ||  // driver compat
         grab("--pr6_reps=", [&](const std::string& v) { opt.reps = std::stoi(v); }) ||
         grab("--pr6_ranks=", [&](const std::string& v) { opt.ranks = std::stoi(v); }) ||
         grab("--pr6_threads=", [&](const std::string& v) { opt.threads = std::stoi(v); }) ||

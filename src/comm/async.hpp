@@ -22,7 +22,6 @@
 // surface the escalated CommFailure/RankDead exactly like a blocking receive.
 #pragma once
 
-#include <chrono>
 #include <cstddef>
 #include <span>
 #include <stdexcept>
@@ -73,13 +72,6 @@ class RecvHandle {
     require_valid("wait");
     msg_ = mailbox_->get(src_, tag_);
     done_ = true;
-  }
-
-  /// When the completed message became deliverable at this mailbox (enqueue
-  /// instant, pushed back by any injected delay) -- the raw input of the
-  /// comm_hidden telemetry. Only meaningful once done().
-  [[nodiscard]] std::chrono::steady_clock::time_point arrival() const {
-    return msg_.effective_arrival();
   }
 
   /// Complete (blocking if needed) and consume the payload as typed data;

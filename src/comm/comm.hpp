@@ -15,7 +15,6 @@
 #pragma once
 
 #include <bit>
-#include <chrono>
 #include <cstddef>
 #include <cstring>
 #include <functional>
@@ -50,9 +49,7 @@ inline constexpr Tag kAllreduceVec = -7500;
 /// receives are posted but not yet matched. test() absorbs whatever has
 /// landed without blocking; wait() completes the exchange, draining the
 /// remaining peer buffers in ARRIVAL order (whichever lands first is
-/// unpacked first -- no head-of-line blocking on the slowest peer) and
-/// records how much of the exchange's latency elapsed before the caller
-/// started waiting (hidden_seconds -- the overlap telemetry's raw metric).
+/// unpacked first -- no head-of-line blocking on the slowest peer).
 template <typename T>
 class PendingAlltoallv {
  public:
@@ -72,15 +69,8 @@ class PendingAlltoallv {
     return done();
   }
 
-  /// Complete the exchange (blocking), then finalize the wait/hidden split:
-  /// wait_seconds is time spent blocked in here; hidden_seconds sums, per
-  /// peer buffer, the in-flight span from launch to the earlier of "this
-  /// buffer arrived" and "caller started waiting" -- exchange latency that
-  /// overlapped the caller's own work instead of a blocking wait (a buffer
-  /// already delivered at launch contributes zero). Idempotent.
+  /// Complete the exchange (blocking). Idempotent.
   void wait() {
-    if (finished_) return;
-    const auto wait_begin = Clock::now();
     std::vector<RecvHandle*> pending;
     std::vector<std::size_t> orig;
     for (std::size_t i = 0; i < handles_.size(); ++i) {
@@ -95,13 +85,6 @@ class PendingAlltoallv {
       pending.erase(pending.begin() + static_cast<std::ptrdiff_t>(i));
       orig.erase(orig.begin() + static_cast<std::ptrdiff_t>(i));
     }
-    wait_seconds_ = sec(Clock::now() - wait_begin);
-    hidden_seconds_ = 0;
-    for (const auto arrival : arrivals_) {
-      const auto covered = arrival < wait_begin ? arrival : wait_begin;
-      if (covered > launch_) hidden_seconds_ += sec(covered - launch_);
-    }
-    finished_ = true;
   }
 
   /// Complete and surrender the inbox: slot [i] holds what peer i sent
@@ -111,34 +94,18 @@ class PendingAlltoallv {
     return std::move(inbox_);
   }
 
-  /// Time spent blocked inside wait() (0 until wait() ran).
-  [[nodiscard]] double wait_seconds() const noexcept { return wait_seconds_; }
-  /// Exchange latency that elapsed before the caller blocked (0 until
-  /// wait() ran; ~0 when wait() directly follows the launch).
-  [[nodiscard]] double hidden_seconds() const noexcept { return hidden_seconds_; }
-
  private:
   friend class Comm;
-  using Clock = std::chrono::steady_clock;
-  [[nodiscard]] static double sec(Clock::duration d) {
-    return std::chrono::duration<double>(d).count();
-  }
 
   void absorb(std::size_t i) {
     inbox_[slots_[i]] = handles_[i].template take<T>();
-    arrivals_.push_back(handles_[i].arrival());
     ++n_done_;
   }
 
   std::vector<RecvHandle> handles_;  ///< one posted receive per remote peer
   std::vector<std::size_t> slots_;   ///< inbox slot per handle
   std::vector<std::vector<T>> inbox_;
-  std::vector<Clock::time_point> arrivals_;  ///< delivery instant per absorbed buffer
   std::size_t n_done_{0};
-  bool finished_{false};
-  Clock::time_point launch_{};
-  double wait_seconds_{0};
-  double hidden_seconds_{0};
 };
 
 class Comm {
@@ -508,10 +475,6 @@ class Comm {
         op.slots_.push_back(static_cast<std::size_t>(r));
       }
     }
-    // Launch is stamped AFTER the deposits: the send loop is paid CPU, not
-    // in-flight latency, so hidden_seconds counts only what elapses once the
-    // exchange is actually airborne (~0 when wait() directly follows).
-    op.launch_ = std::chrono::steady_clock::now();
     return op;
   }
 
@@ -558,8 +521,6 @@ class Comm {
       op.handles_.push_back(irecv(neighbors[i], internal_tags::kNeighbor));
       op.slots_.push_back(i);
     }
-    // Post-deposit stamp, same rationale as ialltoallv.
-    op.launch_ = std::chrono::steady_clock::now();
     return op;
   }
 

@@ -31,19 +31,12 @@ struct Message {
   // `seq` numbers the (src, tag) stream for duplicate suppression; `crc` is
   // the CRC32 of the payload at send time, verified on receive; `visible_at`
   // implements injected delivery delays (epoch = immediately visible);
-  // `arrived_at` records the enqueue instant, so receivers can tell how long
-  // a buffer sat waiting -- the raw input of the overlap telemetry's
-  // comm_hidden accounting (effective arrival = max(arrived_at, visible_at)).
+  // `arrived_at` records the enqueue instant, the base an injected delay is
+  // added to.
   std::uint64_t seq{0};
   std::uint32_t crc{0};
   std::chrono::steady_clock::time_point visible_at{};
   std::chrono::steady_clock::time_point arrived_at{};
-
-  /// When the message became (or becomes) deliverable: enqueue time, pushed
-  /// back by any injected delay.
-  [[nodiscard]] std::chrono::steady_clock::time_point effective_arrival() const {
-    return visible_at > arrived_at ? visible_at : arrived_at;
-  }
 };
 
 /// Serialize a span of trivially copyable values into a byte buffer.

@@ -8,7 +8,8 @@ namespace dlouvain::core {
 
 namespace {
 
-/// Wire record for refresh replies and dirty pushes.
+/// Wire record for refresh replies, dirty pushes and delta flushes (where
+/// degree and size are deltas).
 struct InfoRecord {
   CommunityId community;
   Weight degree;
@@ -331,20 +332,13 @@ void CommunityLedger::refresh(comm::Comm& comm) {
 }
 
 void CommunityLedger::flush_deltas(comm::Comm& comm) {
-  flush_deltas_begin(comm, /*overlap=*/false);
-  flush_deltas_finish(comm);
-}
-
-void CommunityLedger::flush_deltas_begin(comm::Comm& comm, bool overlap) {
-  if (pending_flush_.has_value())
-    throw std::logic_error("CommunityLedger: delta flush already in flight");
   const int p = comm.size();
-  std::vector<std::vector<LedgerDeltaRecord>> outbox(static_cast<std::size_t>(p));
+  std::vector<std::vector<InfoRecord>> outbox(static_cast<std::size_t>(p));
   for (const auto idx : pending_touched_) {
     const auto i = static_cast<std::size_t>(idx);
     const CommunityId c = ghost_ids_[i];
     outbox[static_cast<std::size_t>(graph_->owner(c))].push_back(
-        LedgerDeltaRecord{c, pending_degree_[i], pending_size_[i]});
+        InfoRecord{c, pending_degree_[i], pending_size_[i]});
     pending_degree_[i] = 0;
     pending_size_[i] = 0;
     pending_flag_[i] = 0;
@@ -356,18 +350,7 @@ void CommunityLedger::flush_deltas_begin(comm::Comm& comm, bool overlap) {
     for (const auto& slot : outbox) records += static_cast<std::int64_t>(slot.size());
     comm.counters()[util::Counter::kLedgerDeltaRecords] += records;
   }
-  pending_flush_.emplace(comm.ialltoallv<LedgerDeltaRecord>(std::move(outbox)));
-  if (!overlap) pending_flush_->wait();
-}
-
-void CommunityLedger::flush_deltas_finish(comm::Comm& comm) {
-  (void)comm;  // collective symmetry with _begin; completion is local
-  if (!pending_flush_.has_value())
-    throw std::logic_error("CommunityLedger: no delta flush in flight");
-  pending_flush_->wait();
-  flush_wait_seconds_ = pending_flush_->wait_seconds();
-  flush_hidden_seconds_ = pending_flush_->hidden_seconds();
-  const auto inbox = pending_flush_->take();
+  const auto inbox = comm.alltoallv<InfoRecord>(std::move(outbox));
   // Fixed rank order regardless of arrival order: owned_ accumulation stays
   // deterministic (Weight is integral today, but keep the order contract).
   for (const auto& from_rank : inbox) {
@@ -379,7 +362,6 @@ void CommunityLedger::flush_deltas_finish(comm::Comm& comm) {
       mark_dirty(lc);
     }
   }
-  pending_flush_.reset();
 }
 
 Weight CommunityLedger::owned_degree_term() const {

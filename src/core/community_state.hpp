@@ -42,7 +42,6 @@
 
 #include <cassert>
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -55,14 +54,6 @@ namespace dlouvain::core {
 struct CommunityInfo {
   Weight degree{0};   ///< a_c: summed weighted degree of members
   VertexId size{0};   ///< member count
-};
-
-/// Wire record of the iteration-end delta flush (in the header so the
-/// ledger can hold an in-flight PendingAlltoallv of them).
-struct LedgerDeltaRecord {
-  CommunityId community;
-  Weight degree;
-  std::int64_t size;
 };
 
 class CommunityLedger {
@@ -131,22 +122,8 @@ class CommunityLedger {
   void refresh(comm::Comm& comm);
 
   /// Iteration-end flush: ship queued deltas to community owners and apply
-  /// the incoming ones. Collective.
+  /// the incoming ones in fixed rank order. Collective.
   void flush_deltas(comm::Comm& comm);
-
-  /// Split flush (ISSUE 5): _begin deposits the outgoing deltas and posts
-  /// the receives; with `overlap` the collective stays in flight while the
-  /// caller computes (anything that reads no ledger state), else it blocks
-  /// in place. _finish completes the exchange and applies incoming deltas
-  /// in fixed rank order. flush_deltas == begin(false) + finish.
-  void flush_deltas_begin(comm::Comm& comm, bool overlap);
-  void flush_deltas_finish(comm::Comm& comm);
-
-  /// Wait/hidden timing of the last completed flush (overlap telemetry).
-  [[nodiscard]] double flush_wait_seconds() const noexcept { return flush_wait_seconds_; }
-  [[nodiscard]] double flush_hidden_seconds() const noexcept {
-    return flush_hidden_seconds_;
-  }
 
   /// Sum of a_c^2 over OWNED communities (the local share of the modularity
   /// degree term).
@@ -199,11 +176,6 @@ class CommunityLedger {
   // lazy eviction keeps dead entries resident).
   std::vector<std::int64_t> table_;
   std::size_t table_mask_{0};
-
-  // In-flight delta flush between flush_deltas_begin and _finish.
-  std::optional<comm::PendingAlltoallv<LedgerDeltaRecord>> pending_flush_;
-  double flush_wait_seconds_{0};
-  double flush_hidden_seconds_{0};
 };
 
 }  // namespace dlouvain::core

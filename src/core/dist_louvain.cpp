@@ -8,7 +8,6 @@
 #include "core/coloring.hpp"
 #include "core/community_state.hpp"
 #include "core/ghost_exchange.hpp"
-#include "core/overlap_model.hpp"
 #include "core/rebuild.hpp"
 #include "louvain/early_term.hpp"
 #include "util/metrics.hpp"
@@ -92,7 +91,6 @@ struct PhaseTimers {
   util::AccumTimer delta;
   util::AccumTimer allreduce;
   double compute_busy{0};
-  double comm_hidden{0};
 
   void clear() {
     ghost.clear();
@@ -101,7 +99,6 @@ struct PhaseTimers {
     delta.clear();
     allreduce.clear();
     compute_busy = 0;
-    comm_hidden = 0;
   }
 };
 
@@ -123,7 +120,6 @@ PhaseResult run_phase(comm::Comm& comm, const graph::DistGraph& g,
                       const DistConfig& cfg, int phase, double tau,
                       util::ThreadPool& pool, PhaseTimers& timers,
                       PhaseTelemetry& telemetry,
-                      OverlapCostModel* overlap_model = nullptr,
                       const WarmStart* warm = nullptr) {
   const VertexId local_n = g.local_count();
   const VertexId global_n = g.global_n();
@@ -184,31 +180,8 @@ PhaseResult run_phase(comm::Comm& comm, const graph::DistGraph& g,
   std::vector<util::SegmentedAccumulator<Weight>> scatter(
       static_cast<std::size_t>(pool.num_threads()));
 
-  // Resolve the overlap knob per ITERATION: forced modes are constant,
-  // kAuto asks the measured cost model (overlap_model.hpp) -- OFF until the
-  // model warms up (the measured-faster default per BENCH_PR5), an ON probe
-  // only when the OFF samples predict hidable time, then the locked
-  // verdict. Never changes results (see overlap_mode.hpp); the schedule
-  // below is identical either way, only the waits move, so per-iteration
-  // switching is bitwise-safe.
-  const auto overlap_now = [&cfg, overlap_model] {
-    switch (cfg.overlap) {
-      case OverlapMode::kOn: return true;
-      case OverlapMode::kOff: return false;
-      case OverlapMode::kAuto:
-        return overlap_model != nullptr && overlap_model->want_overlap();
-    }
-    return false;
-  };
-  const auto make_xcfg = [&cfg](bool on) {
-    return GhostExchangeConfig{cfg.use_neighbor_exchange, cfg.ghost_exchange_mode,
-                               cfg.delta_exchange_crossover, on};
-  };
-  // The warm-adoption exchanges before the loop and the phase-final push
-  // after it pair begin+finish back to back, so the flag is inert there;
-  // they reuse whatever the current resolution is.
-  GhostExchangeConfig xcfg = make_xcfg(overlap_now());
-  bool phase_ran_overlap = false;
+  const GhostExchangeConfig xcfg{cfg.use_neighbor_exchange, cfg.ghost_exchange_mode,
+                                 cfg.delta_exchange_crossover};
 
   // -- Warm start (incremental updates): adopt the seeded assignment -------
   // Every vertex moves from its singleton into its seed community through
@@ -354,19 +327,6 @@ PhaseResult run_phase(comm::Comm& comm, const graph::DistGraph& g,
     // (phase, iter) fires here, before any of the iteration's collectives.
     comm.fault_point(phase, iter);
     const util::TraceSpan iter_span(tb, "iteration", "iteration", phase, iter);
-    // This iteration's overlap resolution, and -- while the kAuto model is
-    // still warming up -- the probe instrumentation feeding it: blocked
-    // exchange wall (latency), interior sweep wall, hidden latency, and the
-    // iteration wall, each as a delta over this iteration.
-    const bool overlap_on = overlap_now();
-    xcfg = make_xcfg(overlap_on);
-    phase_ran_overlap = phase_ran_overlap || overlap_on;
-    const bool probing = overlap_model != nullptr && overlap_model->probing();
-    const util::WallTimer probe_wall;
-    const double probe_ghost0 = timers.ghost.seconds();
-    const double probe_delta0 = timers.delta.seconds();
-    const double probe_hidden0 = timers.comm_hidden;
-    double probe_interior = 0;
     std::int64_t local_active = 0;
     std::int64_t local_moved = 0;
     std::fill(moved.begin(), moved.end(), 0);
@@ -374,34 +334,34 @@ PhaseResult run_phase(comm::Comm& comm, const graph::DistGraph& g,
     for (auto& order : groups) {
     for (std::size_t i = order.size(); i > 1; --i)
       std::swap(order[i - 1], order[order_rng.next_below(i)]);
-    // Interior-first schedule (ISSUE 5): stable-partition the shuffled order
-    // so vertices with no ghost neighbour come first, preserving the shuffled
-    // relative order within each class. The split point is a graph property
-    // -- independent of the thread count AND of the overlap knob -- so every
-    // configuration sweeps the exact same sequence. On one rank there are no
-    // ghosts, every vertex is interior and the partition is a no-op.
+    // Interior-first order: stable-partition the shuffled order so vertices
+    // with no ghost neighbour come first, preserving the shuffled relative
+    // order within each class. The split point is a graph property,
+    // independent of the thread count, so every configuration sweeps the
+    // exact same sequence; the p > 1 golden constants pin this order. On one
+    // rank there are no ghosts, every vertex is interior and the partition
+    // is a no-op.
     const auto interior_end = std::stable_partition(
         order.begin(), order.end(),
         [&g](VertexId lv) { return !g.is_boundary(lv); });
     const auto n_interior = static_cast<std::int64_t>(interior_end - order.begin());
     const auto group_n = static_cast<std::int64_t>(order.size());
     // First micro-batch that contains a boundary vertex. Batches before it
-    // read no ghost state and may run while the exchange is in flight; the
-    // straddling batch and everything after wait for the absorb + refresh.
+    // read no ghost state and decide against the ledger as it stood before
+    // this iteration's refresh; the straddling batch and everything after
+    // run after the refresh.
     std::int64_t split_batch = 0;
     while (split_batch < kSweepBatches &&
            util::fixed_chunk(group_n, split_batch, kSweepBatches).second <= n_interior)
       ++split_batch;
 
-    // (i) launch the push of current community assignments for all ghost
-    // vertices (Alg. 3 l.4-5). With overlap on, the collective stays in
-    // flight through the interior batches below; off blocks right here. The
-    // payload snapshots owned_community NOW, before any of this iteration's
-    // moves, in both modes.
+    // (i) push current community assignments for all ghost vertices and
+    // absorb the peers' pushes (Alg. 3 l.4-5). The payload snapshots
+    // owned_community before any of this iteration's moves.
     {
       util::ScopedAccum scope(timers.ghost);
       const util::TraceSpan span(tb, "ghost_exchange", "collective", phase, iter);
-      state.ghosts.exchange_begin(comm, state.owned_community, xcfg);
+      state.ghosts.exchange(comm, state.owned_community, xcfg);
     }
 
     // Local move computation (Alg. 3 l.6-9), threaded as a sequence of
@@ -420,12 +380,16 @@ PhaseResult run_phase(comm::Comm& comm, const graph::DistGraph& g,
     // algorithm already tolerates ACROSS ranks every iteration.
     //
     // `slot_cap` is the ledger slot-space bound the scatter arrays are sized
-    // to. Interior batches run against the PRE-absorb cap: their arcs only
-    // reference owned destinations, whose community slots were all handed
-    // out before this iteration (new slots appear only in the absorb /
-    // retarget below). Boundary batches re-read the cap after the refresh.
-    const auto run_batches = [&](std::int64_t first_batch, std::int64_t end_batch,
-                                 std::size_t slot_cap) {
+    // to, read when the call starts. Interior batches run against the
+    // pre-retarget cap: their arcs only reference owned destinations, whose
+    // community slots were all handed out before this iteration (new slots
+    // appear only in the retarget / refresh below). Boundary batches run
+    // after the refresh and see its cap.
+    const auto run_batches = [&](std::int64_t first_batch, std::int64_t end_batch) {
+      util::ScopedAccum scope(timers.compute);
+      const util::TraceSpan span(tb, "compute", "compute", phase, iter);
+      pool.reset_busy();
+      const auto slot_cap = static_cast<std::size_t>(state.ledger.slot_count());
       for (std::int64_t batch = first_batch; batch < end_batch; ++batch) {
         const auto [batch_begin, batch_end] =
             util::fixed_chunk(group_n, batch, kSweepBatches);
@@ -530,33 +494,15 @@ PhaseResult run_phase(comm::Comm& comm, const graph::DistGraph& g,
           ++local_moved;
         }
       }
-    };
-
-    // (ii) interior micro-batches, overlapped with the in-flight exchange.
-    {
-      util::ScopedAccum scope(timers.compute);
-      const util::TraceSpan span(tb, "overlap_interior", "overlap", phase, iter);
-      const util::WallTimer interior_timer;
-      pool.reset_busy();
-      run_batches(0, split_batch, static_cast<std::size_t>(state.ledger.slot_count()));
       const double busy = pool.busy_seconds();
       timers.compute_busy += busy;
       comm.counters().busy_seconds += busy;
-      probe_interior += interior_timer.seconds();
-    }
+    };
 
-    // (iii) complete the exchange: drain peer buffers in arrival order,
-    // absorb into the ghost slots in fixed rank order (identical in both
-    // overlap modes -- see ghost_exchange.hpp). The transfer seconds that
-    // elapsed while (ii) computed are the latency the schedule hid.
-    {
-      util::ScopedAccum scope(timers.ghost);
-      const util::TraceSpan span(tb, "ghost_wait", "wait", phase, iter);
-      state.ghosts.exchange_finish(comm);
-      timers.comm_hidden += state.ghosts.last_exchange_stats().hidden_seconds;
-    }
+    // (ii) interior micro-batches.
+    run_batches(0, split_batch);
 
-    // (iv) authoritative a_c / |c| for every community our vertices or their
+    // (iii) authoritative a_c / |c| for every community our vertices or their
     // neighbours might target. The needed set is maintained incrementally:
     // the exchange's change log retargets the refcounts (and the slot
     // mirror), then the subscriber-push refresh fetches only what this rank
@@ -572,45 +518,24 @@ PhaseResult run_phase(comm::Comm& comm, const graph::DistGraph& g,
       state.ledger.refresh(comm);
     }
 
-    // (v) boundary micro-batches, against the refreshed ghost state. The
-    // slot cap is re-read: the absorb/refresh may have slotted new
-    // communities these vertices can now target.
-    {
-      util::ScopedAccum scope(timers.compute);
-      const util::TraceSpan span(tb, "compute", "compute", phase, iter);
-      pool.reset_busy();
-      run_batches(split_batch, kSweepBatches,
-                  static_cast<std::size_t>(state.ledger.slot_count()));
-      const double busy = pool.busy_seconds();
-      timers.compute_busy += busy;
-      comm.counters().busy_seconds += busy;
-    }
+    // (iv) boundary micro-batches, against the refreshed ghost state.
+    run_batches(split_batch, kSweepBatches);
 
-    // (vi) ship community deltas to their owners (Alg. 3 l.10-11). Only the
-    // LAST group's flush may stay in flight: the intra-weight pass in the
-    // modularity step reads no ledger state, but an earlier group's refresh
-    // would.
+    // (v) ship community deltas to their owners (Alg. 3 l.10-11).
     {
       util::ScopedAccum scope(timers.delta);
       const util::TraceSpan span(tb, "delta_exchange", "collective", phase, iter);
-      const bool last_group = &order == &groups.back();
-      state.ledger.flush_deltas_begin(comm, overlap_on && last_group);
-      if (!last_group) state.ledger.flush_deltas_finish(comm);
+      state.ledger.flush_deltas(comm);
     }
     }  // group loop
 
-    // (vii) global modularity (Alg. 3 l.12-13). The intra-weight pass runs
-    // first -- it reads communities and ghost values, never ledger records --
-    // so with overlap on it executes while the last group's delta flush is
-    // still in flight. The flush then completes (absorbing incoming deltas in
-    // fixed rank order, same point in both modes) before the owned degree
-    // term is read.
+    // (vi) global modularity (Alg. 3 l.12-13).
     Weight curr_mod;
     std::int64_t global_moved;
-    Weight intra;
     {
       util::ScopedAccum scope(timers.allreduce);
-      const util::TraceSpan span(tb, "overlap_delta", "overlap", phase, iter);
+      const util::TraceSpan span(tb, "allreduce", "collective", phase, iter);
+      Weight intra;
       if (warm != nullptr) {
         // Only affected rows can have changed; the frozen remainder is a
         // constant, computed once against the post-adoption state (valid at
@@ -626,16 +551,6 @@ PhaseResult run_phase(comm::Comm& comm, const graph::DistGraph& g,
       } else {
         intra = local_intra_weight(pool, g, state.owned_community, state.ghosts);
       }
-    }
-    {
-      util::ScopedAccum scope(timers.delta);
-      const util::TraceSpan span(tb, "delta_wait", "wait", phase, iter);
-      state.ledger.flush_deltas_finish(comm);
-      timers.comm_hidden += state.ledger.flush_hidden_seconds();
-    }
-    {
-      util::ScopedAccum scope(timers.allreduce);
-      const util::TraceSpan span(tb, "allreduce", "collective", phase, iter);
       const Weight degree_term = state.ledger.owned_degree_term();
       const auto sums = comm.allreduce_sum_vec<Weight>(
           {intra, degree_term, static_cast<Weight>(local_moved),
@@ -652,29 +567,6 @@ PhaseResult run_phase(comm::Comm& comm, const graph::DistGraph& g,
       }
     }
 
-    // Feed the kAuto cost model one rank-identical aggregate sample (mean
-    // over ranks) of this iteration's measurements. Bounded work: at most
-    // 2 * overlap_probe_iters iterations per run ever take this collective,
-    // after which probing() stays false for good.
-    if (probing) {
-      util::ScopedAccum scope(timers.allreduce);
-      const util::TraceSpan span(tb, "overlap_probe", "overlap", phase, iter);
-      // Probe traffic is model overhead, not algorithm work: reclassify it
-      // (like checkpoint I/O) so Result::messages/bytes stay comparable
-      // across modes and across clean vs resumed runs (a resume re-probes).
-      const util::TrafficReclassScope reclass(
-          comm.counters(), util::Counter::kOverlapProbeMessages,
-          util::Counter::kOverlapProbeBytes);
-      const double latency = (timers.ghost.seconds() - probe_ghost0) +
-                             (timers.delta.seconds() - probe_delta0);
-      const auto sums = comm.allreduce_sum_vec<double>(
-          {latency, probe_interior, timers.comm_hidden - probe_hidden0,
-           probe_wall.seconds()});
-      const auto nr = static_cast<double>(comm.size());
-      overlap_model->record(OverlapSample{sums[0] / nr, sums[1] / nr,
-                                          sums[2] / nr, sums[3] / nr});
-    }
-
     // ET probability updates (Eq. 3) happen after the iteration's outcome is
     // known, for every vertex -- participation does not matter, staying put
     // does. (With warm alpha 0 this is a no-op for the frozen set and keeps
@@ -686,7 +578,7 @@ PhaseResult run_phase(comm::Comm& comm, const graph::DistGraph& g,
 
     ++telemetry.iterations;
 
-    // (vi) exit checks. All variants keep the tau test; ETC adds the global
+    // (vii) exit checks. All variants keep the tau test; ETC adds the global
     // inactive-fraction vote (its "extra remote communication"), which in
     // structured graphs fires well before tau does -- the paper's 1.25-2.3x
     // over plain ET. (Without the tau guard, a phase with a few persistent
@@ -742,8 +634,6 @@ PhaseResult run_phase(comm::Comm& comm, const graph::DistGraph& g,
   telemetry.breakdown.compute_busy = timers.compute_busy;
   telemetry.breakdown.delta_exchange = timers.delta.seconds();
   telemetry.breakdown.allreduce = timers.allreduce.seconds();
-  telemetry.breakdown.comm_hidden = timers.comm_hidden;
-  if (overlap_model != nullptr) overlap_model->note_phase(phase_ran_overlap);
   return state;
 }
 
@@ -777,13 +667,6 @@ DistResult dist_louvain(comm::Comm& comm, graph::DistGraph graph, const DistConf
   // The rank's compute pool, shared by every phase's move scan, modularity
   // reduction, and rebuild (the per-rank half of the MPI+OpenMP hybrid).
   util::ThreadPool pool(cfg.threads_per_rank);
-
-  // kAuto's measured overlap cost model: one model per run, warmed during
-  // the first phases' iterations; forced modes bypass it entirely.
-  OverlapCostModel overlap_model(
-      OverlapCostModel::Config{cfg.overlap_probe_iters, cfg.overlap_min_hidden_s});
-  OverlapCostModel* const overlap_model_ptr =
-      cfg.overlap == OverlapMode::kAuto ? &overlap_model : nullptr;
 
   if (warm != nullptr &&
       (warm->seed_community.size() != static_cast<std::size_t>(graph.local_count()) ||
@@ -906,7 +789,7 @@ DistResult dist_louvain(comm::Comm& comm, graph::DistGraph graph, const DistConf
     // every later phase runs on a graph the seed's indices no longer match.
     const WarmStart* phase_warm = (phase == 0 && !resumed) ? warm : nullptr;
     auto phase_state = run_phase(comm, graph, cfg, phase, tau, pool, timers,
-                                 telemetry, overlap_model_ptr, phase_warm);
+                                 telemetry, phase_warm);
 
     // The exit decision depends only on collectively-identical modularities,
     // so it can be taken BEFORE the rebuild: a warm-start run that is about
@@ -1075,19 +958,6 @@ DistResult dist_louvain(comm::Comm& comm, graph::DistGraph graph, const DistConf
       result.restored.messages + result.counters[util::Counter::kMessages];
   result.bytes = result.restored.bytes + result.counters[util::Counter::kBytes];
 
-  // Manifest v4 "overlap" object: what the knob was, what the run did, and
-  // (kAuto) the cost-model inputs behind the decision. Forced modes report
-  // their constant; executed phases only (phase_telemetry, not restored).
-  if (cfg.overlap == OverlapMode::kAuto) {
-    result.overlap = overlap_model.telemetry(overlap_mode_label(cfg.overlap));
-  } else {
-    const bool on = cfg.overlap == OverlapMode::kOn;
-    result.overlap.mode = overlap_mode_label(cfg.overlap);
-    result.overlap.decision = on ? "on" : "off";
-    result.overlap.decided = true;
-    const auto executed = static_cast<int>(result.phase_telemetry.size());
-    (on ? result.overlap.phases_engaged : result.overlap.phases_declined) = executed;
-  }
   return result;
 }
 

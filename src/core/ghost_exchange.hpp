@@ -21,7 +21,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <optional>
 #include <span>
 #include <stdexcept>
 #include <type_traits>
@@ -45,17 +44,6 @@ struct GhostExchangeConfig {
   ///   2 * changed_entries <= crossover * mirror_list_size
   /// (a delta entry costs two wire elements where a dense one costs one).
   double delta_crossover{0.5};
-  /// ISSUE 5: leave the collective in flight after exchange_begin() so the
-  /// caller can compute while messages travel; exchange_finish() completes.
-  /// Off = exchange_begin() blocks in place (the seed's synchronous order).
-  /// Identical results either way -- only the wait's position moves.
-  bool overlap{false};
-};
-
-/// Wait/hidden timing of the last completed exchange (overlap telemetry).
-struct GhostExchangeStats {
-  double wait_seconds{0};    ///< blocked in exchange_finish (or _begin, off)
-  double hidden_seconds{0};  ///< exchange latency that overlapped compute
 };
 
 template <typename T>
@@ -105,22 +93,13 @@ class GhostField {
   }
 
   /// Collective: push the current value of every mirrored owned vertex to
-  /// the ranks ghosting it, and absorb their pushes into our slots. `owned`
-  /// maps local vertex index -> value.
+  /// the ranks ghosting it, and absorb their pushes into our slots in FIXED
+  /// peer order (the collective drains peer buffers in arrival order, but
+  /// the absorb does not), so changes_ ordering, and everything downstream
+  /// of it, is independent of message timing. `owned` maps local vertex
+  /// index -> value.
   void exchange(comm::Comm& comm, std::span<const T> owned,
                 const GhostExchangeConfig& cfg) {
-    exchange_begin(comm, owned, cfg);
-    exchange_finish(comm);
-  }
-
-  /// First half of exchange(): deposit every outgoing update and post the
-  /// receives. With cfg.overlap the collective stays in flight (the caller
-  /// computes, then calls exchange_finish()); without it, block right here
-  /// so the order of waits matches the seed's synchronous schedule.
-  void exchange_begin(comm::Comm& comm, std::span<const T> owned,
-                      const GhostExchangeConfig& cfg) {
-    if (pending_.has_value())
-      throw std::logic_error("GhostField: exchange already in flight");
     changes_.clear();
 
     const auto build_payload = [&](Rank r) {
@@ -184,8 +163,9 @@ class GhostField {
         count_payload(outbox.back());
       }
       remember_sent(owned);
-      pending_.emplace(comm.ineighbor_alltoallv<T>(neighbors, std::move(outbox)));
-      pending_neighbor_ = true;
+      const auto inbox = comm.neighbor_alltoallv<T>(neighbors, std::move(outbox));
+      for (std::size_t i = 0; i < neighbors.size(); ++i)
+        absorb_from(neighbors[i], inbox[i]);
     } else {
       const int p = comm.size();
       std::vector<std::vector<T>> outbox(static_cast<std::size_t>(p));
@@ -195,42 +175,12 @@ class GhostField {
         count_payload(outbox[static_cast<std::size_t>(r)]);
       }
       remember_sent(owned);
-      pending_.emplace(comm.ialltoallv<T>(std::move(outbox)));
-      pending_neighbor_ = false;
-    }
-    if (!cfg.overlap) pending_->wait();
-  }
-
-  /// Second half of exchange(): complete the in-flight collective (peer
-  /// buffers drain in arrival order) and absorb every update in FIXED peer
-  /// order -- so changes_ ordering, and everything downstream of it, is
-  /// independent of message timing. Records the wait/hidden stats.
-  void exchange_finish(comm::Comm& comm) {
-    if (!pending_.has_value())
-      throw std::logic_error("GhostField: no exchange in flight");
-    pending_->wait();
-    stats_.wait_seconds = pending_->wait_seconds();
-    stats_.hidden_seconds = pending_->hidden_seconds();
-    const auto inbox = pending_->take();
-    if (pending_neighbor_) {
-      const auto& neighbors = graph_->neighbor_ranks();
-      for (std::size_t i = 0; i < neighbors.size(); ++i)
-        absorb_from(neighbors[i], inbox[i]);
-    } else {
+      const auto inbox = comm.alltoallv<T>(std::move(outbox));
       for (std::size_t r = 0; r < inbox.size(); ++r) {
         if (static_cast<Rank>(r) != comm.rank())
           absorb_from(static_cast<Rank>(r), inbox[r]);
       }
     }
-    pending_.reset();
-  }
-
-  /// True between exchange_begin() and exchange_finish().
-  [[nodiscard]] bool exchange_in_flight() const noexcept { return pending_.has_value(); }
-
-  /// Timing of the last completed exchange (zeros before the first one).
-  [[nodiscard]] const GhostExchangeStats& last_exchange_stats() const noexcept {
-    return stats_;
   }
 
   /// Legacy dense-mode entry points (sparse/dense topology knob only).
@@ -308,9 +258,6 @@ class GhostField {
   std::vector<T> prev_owned_;         ///< by local vertex: value last sent
   std::vector<std::size_t> offsets_;  ///< slot offset per owner rank
   std::vector<SlotChange> changes_;   ///< slots the last exchange rewrote
-  std::optional<comm::PendingAlltoallv<T>> pending_;  ///< in-flight collective
-  bool pending_neighbor_{false};      ///< topology of pending_
-  GhostExchangeStats stats_;          ///< last completed exchange's timing
 };
 
 /// The Louvain community field: ghosts start in their own community.

@@ -68,24 +68,6 @@ void append_updates_json(std::string& out, const UpdateTelemetry& u) {
          ",\"fallback_to_full\":" + std::to_string(u.fallback_to_full) + '}';
 }
 
-void append_overlap_json(std::string& out, const OverlapTelemetry& o) {
-  out += "{\"mode\":\"" + json_escape(o.mode) + '\"';
-  out += ",\"decision\":\"" + json_escape(o.decision) + '\"';
-  out += ",\"decided\":";
-  out += o.decided ? "true" : "false";
-  out += ",\"probe_iterations_off\":" + std::to_string(o.probe_iterations_off);
-  out += ",\"probe_iterations_on\":" + std::to_string(o.probe_iterations_on);
-  out += ",\"predicted_hidden_s\":" + json_number(o.predicted_hidden_s);
-  out += ",\"measured_latency_s\":" + json_number(o.measured_latency_s);
-  out += ",\"measured_interior_s\":" + json_number(o.measured_interior_s);
-  out += ",\"off_wall_s\":" + json_number(o.off_wall_s);
-  out += ",\"on_wall_s\":" + json_number(o.on_wall_s);
-  out += ",\"measured_hidden_s\":" + json_number(o.measured_hidden_s);
-  out += ",\"phases_engaged\":" + std::to_string(o.phases_engaged);
-  out += ",\"phases_declined\":" + std::to_string(o.phases_declined);
-  out += '}';
-}
-
 void append_service_json(std::string& out, const ServiceTelemetry& s) {
   out += "{\"job_id\":" + std::to_string(s.job_id);
   out += ",\"cache_hit\":";
@@ -120,8 +102,6 @@ std::string dist_result_to_json(const DistResult& r) {
   append_counters_json(out, r.counters);
   out += ",\"breakdown\":";
   append_breakdown_json(out, r.breakdown);
-  out += ",\"overlap\":";
-  append_overlap_json(out, r.overlap);
   out += ",\"phases_detail\":[";
   for (std::size_t i = 0; i < r.phase_telemetry.size(); ++i) {
     const auto& ph = r.phase_telemetry[i];

@@ -8,17 +8,19 @@
 // built from these helpers.
 //
 // Manifest schema (stable, versioned): see docs/OBSERVABILITY.md. The
-// top-level "schema" key is "dlouvain-run-manifest/6"; v2 added the always-
+// top-level "schema" key is "dlouvain-run-manifest/7"; v2 added the always-
 // present "updates" section (streaming-session telemetry), v3 the
 // "recovery.ladder" section (graduated recovery telemetry: retransmits,
 // verdicts, shrinks) and the arq.*/heartbeat.* counters, v4 the "overlap"
-// object on distributed manifests (the --overlap=auto cost-model decision
-// and its inputs; core/overlap_model.hpp), v5 the per-phase
-// load_lambda/time_lambda in phases_detail, and v6 drops v5's run-level and
-// per-phase load-migration records and names the lambda sampling traffic
-// load_sample.* (both versions always sampled the lambdas). v1-v5 documents
-// remain valid inputs for the tooling (tools/check_bench_regression.py,
-// tools/validate_trace.py accept all versions).
+// object on distributed manifests (the overlap-mode decision and its
+// inputs), v5 the per-phase load_lambda/time_lambda in phases_detail, v6
+// drops v5's run-level and per-phase load-migration records and names the
+// lambda sampling traffic load_sample.* (both versions always sampled the
+// lambdas), and v7 drops the "overlap" object and the overlap.* counters
+// (every exchange blocks where it is launched; breakdown.comm_hidden stays
+// and reads 0). v1-v6 documents remain valid inputs for the tooling
+// (tools/check_bench_regression.py, tools/validate_trace.py accept all
+// versions).
 #pragma once
 
 #include <string>
@@ -29,7 +31,7 @@
 
 namespace dlouvain::core {
 
-inline constexpr std::string_view kManifestSchema = "dlouvain-run-manifest/6";
+inline constexpr std::string_view kManifestSchema = "dlouvain-run-manifest/7";
 
 /// JSON string escaping (quotes, backslash, control characters).
 std::string json_escape(std::string_view s);
@@ -49,10 +51,6 @@ void append_breakdown_json(std::string& out, const TimeBreakdown& b);
 /// Appends the manifest-v2 "updates" object (streaming-session telemetry;
 /// all zeros for a one-shot run).
 void append_updates_json(std::string& out, const UpdateTelemetry& u);
-
-/// Appends the manifest-v4 "overlap" object: configured mode, settled
-/// decision, and the cost-model inputs (core/overlap_model.hpp).
-void append_overlap_json(std::string& out, const OverlapTelemetry& o);
 
 /// Telemetry of the long-lived clustering service (dlouvaind; see
 /// docs/SERVICE.md). One struct serves both emission sites: a per-response

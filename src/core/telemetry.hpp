@@ -7,7 +7,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/overlap_model.hpp"
 #include "util/metrics.hpp"
 #include "util/types.hpp"
 
@@ -41,14 +40,10 @@ struct TimeBreakdown {
   /// wall time.
   double compute_busy{0};
 
-  /// Exchange latency (ghost + delta collectives) that elapsed while this
-  /// rank was computing instead of blocked waiting -- what the overlap
-  /// schedule actually hid (ISSUE 5). Summed PER PEER BUFFER: each incoming
-  /// buffer contributes its in-flight span from the collective's launch to
-  /// the earlier of its delivery and the blocking wait (so it can exceed the
-  /// compute wall when many peers' latency is hidden at once). ~0 with
-  /// overlap off. NOT part of total(): these seconds overlap the compute
-  /// wall time by definition.
+  /// Exchange latency hidden behind compute. Always 0: every exchange
+  /// blocks where it is launched (DESIGN.md decision 9). The field and the
+  /// manifest's breakdown.comm_hidden key stay because perfbench reads
+  /// them and fails on a missing key. NOT part of total().
   double comm_hidden{0};
 
   [[nodiscard]] double total() const {
@@ -146,11 +141,6 @@ struct DistResult {
   /// history is NOT folded in here; only messages/bytes/seconds above carry
   /// restored history, because only they are persisted.
   util::MetricsSnapshot counters;
-
-  /// How the communication/compute overlap knob resolved (the manifest v4
-  /// "overlap" object): the configured mode, the decision the run settled
-  /// on, and the cost-model inputs that decided it (overlap_model.hpp).
-  OverlapTelemetry overlap;
 
   /// Phase the run was resumed from (DistConfig::checkpoint.resume with a
   /// valid checkpoint on disk); -1 when the run started fresh. When >= 0,

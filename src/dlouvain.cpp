@@ -43,9 +43,6 @@ core::DistConfig Plan::dist_config() const {
   cfg.record_iterations = record_iterations_;
   cfg.ghost_exchange_mode = exchange_mode_;
   cfg.delta_exchange_crossover = exchange_crossover_;
-  cfg.overlap = overlap_;
-  cfg.overlap_probe_iters = overlap_probe_iters_;
-  cfg.overlap_min_hidden_s = overlap_min_hidden_s_;
   cfg.threads_per_rank = threads_;
   // Effective checkpoint directory: checkpointing() wins when both are set
   // (validate() rejects two DIFFERENT directories); resume() alone keeps
@@ -104,7 +101,6 @@ void Plan::validate() const {
   if (retransmit_max_ > 0) dist_only("retransmit()");
   if (shrink_on_rank_loss_) dist_only("shrink_on_rank_loss()");
   if (exchange_mode_ != GhostExchangeMode::kAuto) dist_only("exchange()");
-  if (overlap_ != OverlapMode::kAuto) dist_only("overlap()");
   if (partition_ != graph::PartitionKind::kEvenEdges) dist_only("partition()");
 }
 

@@ -144,10 +144,6 @@ using core::Variant;
 /// Ghost-exchange wire modes (core/exchange_mode.hpp), re-exported likewise.
 using core::GhostExchangeMode;
 
-/// Communication/compute overlap modes (core/overlap_mode.hpp), re-exported
-/// likewise.
-using core::OverlapMode;
-
 /// Which implementation a Plan dispatches to.
 enum class Engine {
   kSerial,       ///< single-threaded reference (louvain/serial.hpp)
@@ -223,7 +219,7 @@ struct Result {
   /// maintained by Session::update). The manifest's v2 "updates" section.
   core::UpdateTelemetry updates;
 
-  /// Machine-readable run manifest (schema "dlouvain-run-manifest/6"; see
+  /// Machine-readable run manifest (schema "dlouvain-run-manifest/7"; see
   /// docs/OBSERVABILITY.md). Valid JSON for every engine; the distributed
   /// engine adds counters, breakdown and per-phase detail. Same content
   /// `Plan::metrics(path)` writes to disk.
@@ -293,21 +289,6 @@ class Plan {
   Plan& exchange(GhostExchangeMode mode) { exchange_mode_ = mode; return *this; }
   /// kAuto's delta crossover threshold (see DistConfig).
   Plan& exchange_crossover(double c) { exchange_crossover_ = c; return *this; }
-  /// Overlap ghost/delta exchanges with interior compute (distributed
-  /// engine). Never changes results -- only where the blocking waits sit.
-  /// kAuto (the default) runs OFF until a measured cost model warms up,
-  /// then engages only when the probed hidden time beats the schedule's
-  /// measured overhead (core/overlap_model.hpp); the verdict and its inputs
-  /// land in the manifest's "overlap" object.
-  Plan& overlap(OverlapMode mode) { overlap_ = mode; return *this; }
-  /// kAuto cost-model knobs: probe iterations sampled per stage and the
-  /// minimum predicted-hidable seconds below which auto declines without an
-  /// ON probe (see DistConfig). Never change results.
-  Plan& overlap_probe(int iters, double min_hidden_s = 100e-6) {
-    overlap_probe_iters_ = iters;
-    overlap_min_hidden_s_ = min_hidden_s;
-    return *this;
-  }
 
   // -- fault tolerance (distributed engine; see docs/FAULT_TOLERANCE.md) --
   /// Write phase-boundary checkpoints into `dir` (every `every` phases).
@@ -421,9 +402,6 @@ class Plan {
   bool record_iterations_{true};
   GhostExchangeMode exchange_mode_{GhostExchangeMode::kAuto};
   double exchange_crossover_{0.5};
-  OverlapMode overlap_{OverlapMode::kAuto};
-  int overlap_probe_iters_{2};
-  double overlap_min_hidden_s_{100e-6};
   std::string checkpoint_dir_;
   int checkpoint_every_{1};
   std::string resume_dir_;

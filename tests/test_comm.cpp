@@ -928,9 +928,8 @@ TEST(HeartbeatLane, BlockedPeerGetsRankDeadNotTimeout) {
 }
 
 TEST(FaultLayer, TimeoutReportNamesEveryBlockedRankWithHandlesInFlight) {
-  // The overlap-on failure mode: every rank has posted a nonblocking
-  // ghost-exchange-style receive (handle in flight) for a message that never
-  // comes, while one real message lands at each rank and is left undrained.
+  // Every rank has posted a nonblocking ghost-exchange-style receive
+  // (handle in flight) for a message that never comes, while one real message lands at each rank and is left undrained.
   // The whole-world CommTimeout diagnostic must name every blocked rank and
   // the pending depth of the undrained streams.
   dc::RunOptions options;

@@ -2,19 +2,15 @@
 //
 //  * fixed-seed results are BITWISE identical to the pre-overhaul (hash-map
 //    kernel, full-refetch ledger, dense-only exchange) implementation --
-//    golden constants below were captured from that implementation;
+//    the golden constants in golden.hpp were captured from that
+//    implementation;
 //  * thread counts 1/4/16 never change a single bit (the PR 1 contract,
 //    re-verified on the flat kernels);
 //  * the ghost-exchange wire format (dense / delta / auto) never changes
 //    results -- not the assignment, not a modularity bit, not a checkpoint
 //    byte -- even under fault-injection delay and duplication plans.
-//
-// To regenerate the golden constants after an INTENDED algorithmic change:
-// run each Plan below and print util::crc32 of the community vector plus
-// std::bit_cast<uint64_t> of the modularity.
 #include <gtest/gtest.h>
 
-#include <bit>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -23,26 +19,18 @@
 #include "comm/world.hpp"
 #include "core/ghost_exchange.hpp"
 #include "dlouvain.hpp"
+#include "golden.hpp"
 #include "gen/rmat.hpp"
 #include "gen/ssca2.hpp"
 #include "graph/csr.hpp"
 #include "graph/dist_graph.hpp"
-#include "util/crc32.hpp"
 
 namespace {
 
 using namespace dlouvain;
 namespace dc = dlouvain::comm;
 namespace dg = dlouvain::graph;
-
-graph::Csr rmat10() {
-  gen::RmatParams p;
-  p.scale = 10;
-  p.edges_per_vertex = 8;
-  p.seed = 42;
-  const auto g = gen::rmat(p);
-  return graph::from_edges(g.num_vertices, g.edges);
-}
+using namespace dlouvain::golden;
 
 graph::Csr ssca2k() {
   gen::Ssca2Params p;
@@ -52,42 +40,6 @@ graph::Csr ssca2k() {
   const auto g = gen::ssca2(p);
   return graph::from_edges(g.num_vertices, g.edges);
 }
-
-std::uint32_t crc_of(const std::vector<CommunityId>& v) {
-  return util::crc32(v.data(), v.size() * sizeof(CommunityId));
-}
-
-std::uint64_t bits_of(double x) { return std::bit_cast<std::uint64_t>(x); }
-
-struct Golden {
-  std::uint64_t modularity_bits;
-  std::uint32_t community_crc;
-  CommunityId num_communities;
-  int phases;
-  long iterations;
-};
-
-void expect_golden(const Result& r, const Golden& want, const std::string& label) {
-  EXPECT_EQ(bits_of(r.modularity), want.modularity_bits) << label;
-  EXPECT_EQ(crc_of(r.community), want.community_crc) << label;
-  EXPECT_EQ(r.num_communities, want.num_communities) << label;
-  EXPECT_EQ(r.phases, want.phases) << label;
-  EXPECT_EQ(r.total_iterations, want.iterations) << label;
-}
-
-// Captured from the pre-PR3 implementation (RMAT scale 10, epv 8, graph seed
-// 42; SSCA2 n=2000 clique 25 p=0.01; all plans .seed(123)).
-constexpr Golden kSerialRmat{0x3fc65df4311c433eULL, 0x56659c72u, 224, 5, 18};
-constexpr Golden kSharedRmat{0x3fc6f6ff9929a4ecULL, 0x95eddb9cu, 225, 4, 21};
-constexpr Golden kDistP1Rmat{0x3fc68495206dc15cULL, 0xe8144548u, 225, 4, 20};
-// Re-baselined for ISSUE 5: the interior-first sweep schedule reorders the
-// multi-rank sweep (interior vertices before boundary, pre-refresh interior
-// decisions), so p>1 results changed once. p=1 constants above are untouched
-// -- on one rank every vertex is interior and the schedule is the seed's.
-constexpr Golden kDistP4Rmat{0x3fc41f2c83fa1be6ULL, 0xa7beaffcu, 223, 5, 22};
-constexpr Golden kDistP4Ssca{0x3fef5fedcefcb7b3ULL, 0x271ea84au, 92, 4, 10};
-constexpr Golden kDistP4EtcRmat{0x3fc5320bfcf4eeb4ULL, 0x2893ab57u, 225, 5, 25};
-constexpr Golden kDistP2TcRmat{0x3fc65be14dc1851fULL, 0x158f0e83u, 226, 5, 21};
 
 TEST(GoldenSeed, SerialMatchesPreOverhaulBits) {
   expect_golden(Plan::serial().seed(123).run(rmat10()), kSerialRmat, "serial");

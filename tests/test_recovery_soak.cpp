@@ -126,7 +126,7 @@ TEST(RecoverySoak, ManifestCarriesTheLadderTelemetry) {
   ASSERT_GT(result.recovery.retransmits, 0) << "fixture injected no losses";
   const auto json = slurp(manifest);
   for (const char* key :
-       {"\"schema\":\"dlouvain-run-manifest/6\"", "\"arq.nacks\":",
+       {"\"schema\":\"dlouvain-run-manifest/7\"", "\"arq.nacks\":",
         "\"arq.retransmits\":", "\"arq.backoff_ms\":", "\"arq.escalations\":",
         "\"heartbeat.slow_extensions\":", "\"ladder\":{", "\"injected_losses\":",
         "\"verdicts_dead\":", "\"final_ranks\":"}) {

@@ -9,10 +9,6 @@
 //    same modularity bits, same phase/iteration counts -- on every topology
 //    class, at thread counts 1/4/16, under fault-injection delay and
 //    duplication, and across Session::update warm-start batches;
-//  * the `--overlap=auto` cost model (core/overlap_model.hpp) is a real
-//    decision, not an alias for on: it runs OFF until it warms up, declines
-//    when there is nothing worth hiding, and its verdict + inputs land in
-//    the manifest v4 "overlap" object;
 //  * the bounds-checked ScatterAccumulator::at() twin (util/scatter.hpp)
 //    rejects out-of-range slots that the assert-based hot path trusts.
 #include <gtest/gtest.h>
@@ -28,7 +24,6 @@
 #include <vector>
 
 #include "comm/fault.hpp"
-#include "core/overlap_model.hpp"
 #include "dlouvain.hpp"
 #include "gen/lfr.hpp"
 #include "gen/rmat.hpp"
@@ -337,154 +332,6 @@ TEST(ScatterChecked, AtMatchesGetInRangeAndThrowsOutside) {
 
   acc.reset(4);  // new epoch: the old slots read neutral again
   EXPECT_EQ(acc.at(2), 0.0);
-}
-
-// ---- overlap cost model (unit) ---------------------------------------------
-
-core::OverlapSample off_sample(double latency, double interior) {
-  core::OverlapSample s;
-  s.latency_s = latency;
-  s.interior_s = interior;
-  s.wall_s = latency + interior + 0.010;
-  return s;
-}
-
-core::OverlapSample on_sample(double hidden, double wall) {
-  core::OverlapSample s;
-  s.hidden_s = hidden;
-  s.wall_s = wall;
-  return s;
-}
-
-TEST(OverlapModel, WarmupRunsOffThenEngagesWhenOnWallWins) {
-  core::OverlapCostModel model(
-      core::OverlapModelConfig{/*probe_iterations=*/2, /*min_hidden_s=*/1e-4});
-  // Stage 1: auto must run OFF while warming up (the satellite-1 contract).
-  EXPECT_FALSE(model.want_overlap());
-  model.record(off_sample(0.004, 0.006));
-  EXPECT_FALSE(model.want_overlap());
-  EXPECT_TRUE(model.probing());
-  model.record(off_sample(0.006, 0.008));
-  // 5 ms mean latency against 7 ms mean interior: plenty to hide -> ON probe.
-  ASSERT_TRUE(model.want_overlap());
-  ASSERT_FALSE(model.decided());
-  // Stage 2: ON iterations measure faster than the OFF mean (22 ms).
-  model.record(on_sample(0.004, 0.013));
-  model.record(on_sample(0.005, 0.014));
-  EXPECT_TRUE(model.decided());
-  EXPECT_TRUE(model.engaged());
-  EXPECT_TRUE(model.want_overlap());
-
-  const auto t = model.telemetry("auto");
-  EXPECT_EQ(t.decision, "on");
-  EXPECT_TRUE(t.decided);
-  EXPECT_EQ(t.probe_iterations_off, 2);
-  EXPECT_EQ(t.probe_iterations_on, 2);
-  EXPECT_DOUBLE_EQ(t.measured_latency_s, 0.005);
-  EXPECT_DOUBLE_EQ(t.measured_interior_s, 0.007);
-  EXPECT_DOUBLE_EQ(t.predicted_hidden_s, 0.005);  // min(latency, interior)
-  EXPECT_DOUBLE_EQ(t.off_wall_s, 0.022);
-  EXPECT_DOUBLE_EQ(t.on_wall_s, 0.0135);
-  EXPECT_DOUBLE_EQ(t.measured_hidden_s, 0.0045);
-}
-
-TEST(OverlapModel, DeclinesBelowTheFloorWithoutAnOnProbe) {
-  core::OverlapCostModel model(
-      core::OverlapModelConfig{/*probe_iterations=*/2, /*min_hidden_s=*/1e-3});
-  model.record(off_sample(0.0002, 0.020));  // fast wire: almost no latency
-  model.record(off_sample(0.0004, 0.020));
-  // predicted_hidden = min(0.3 ms, 20 ms) = 0.3 ms < 1 ms floor: decline
-  // immediately, never running an ON iteration.
-  EXPECT_TRUE(model.decided());
-  EXPECT_FALSE(model.engaged());
-  EXPECT_FALSE(model.want_overlap());
-  const auto t = model.telemetry("auto");
-  EXPECT_EQ(t.decision, "off");
-  EXPECT_EQ(t.probe_iterations_on, 0);
-  EXPECT_DOUBLE_EQ(t.on_wall_s, 0.0);
-}
-
-TEST(OverlapModel, DeclinesWhenOverheadEatsTheHiddenTime) {
-  core::OverlapCostModel model(
-      core::OverlapModelConfig{/*probe_iterations=*/1, /*min_hidden_s=*/1e-4});
-  model.record(off_sample(0.005, 0.010));  // off wall = 25 ms
-  ASSERT_TRUE(model.want_overlap());       // worth probing ON
-  model.record(on_sample(0.004, 0.027));   // ...but ON is slower overall
-  EXPECT_TRUE(model.decided());
-  EXPECT_FALSE(model.engaged());
-  EXPECT_EQ(model.telemetry("auto").decision, "off");
-  // A decided model ignores further samples.
-  model.record(on_sample(0.0, 0.001));
-  EXPECT_FALSE(model.want_overlap());
-}
-
-TEST(OverlapModel, UndecidedModelReportsOff) {
-  core::OverlapCostModel model(
-      core::OverlapModelConfig{/*probe_iterations=*/8, /*min_hidden_s=*/1e-4});
-  model.record(off_sample(0.005, 0.010));  // run converged before warmup
-  const auto t = model.telemetry("auto");
-  EXPECT_FALSE(t.decided);
-  EXPECT_EQ(t.decision, "off");
-  EXPECT_EQ(t.probe_iterations_off, 1);
-}
-
-// ---- overlap auto end-to-end (the satellite-1 regression) -------------------
-
-TEST(OverlapAuto, IsNotUnconditionalOn) {
-  // The pre-ISSUE-8 kAuto was "on whenever ranks > 1". The cost model must
-  // genuinely decline: with an engagement floor no in-process transport can
-  // reach, auto stays OFF for the whole run while kOn engages every phase --
-  // and the results agree bitwise regardless (overlap never changes bits).
-  const auto g = rmat9();
-  const auto run = [&](OverlapMode mode) {
-    auto plan = Plan::distributed(4).threads(1).seed(123).overlap(mode);
-    if (mode == OverlapMode::kAuto) plan.overlap_probe(1, /*min_hidden_s=*/10.0);
-    return plan.run(g);
-  };
-
-  const auto off = run(OverlapMode::kOff);
-  const auto on = run(OverlapMode::kOn);
-  const auto automatic = run(OverlapMode::kAuto);
-
-  ASSERT_TRUE(automatic.distributed.has_value());
-  const auto& auto_t = automatic.distributed->overlap;
-  EXPECT_EQ(auto_t.mode, "auto");
-  EXPECT_EQ(auto_t.decision, "off");
-  EXPECT_TRUE(auto_t.decided);
-  EXPECT_EQ(auto_t.phases_engaged, 0);
-  EXPECT_GT(auto_t.phases_declined, 0);
-  EXPECT_GT(auto_t.probe_iterations_off, 0);
-  EXPECT_EQ(auto_t.probe_iterations_on, 0);
-
-  const auto& on_t = on.distributed->overlap;
-  EXPECT_EQ(on_t.mode, "on");
-  EXPECT_EQ(on_t.decision, "on");
-  EXPECT_GT(on_t.phases_engaged, 0);
-  EXPECT_EQ(on_t.phases_declined, 0);
-  EXPECT_NE(auto_t.decision, on_t.decision) << "auto must not alias on";
-
-  expect_bitwise_equal(on, off, "overlap on vs off");
-  expect_bitwise_equal(automatic, off, "overlap auto vs off");
-}
-
-TEST(OverlapAuto, ManifestCarriesTheOverlapObject) {
-  const auto g = rmat9();
-  const auto result =
-      Plan::distributed(2).threads(1).seed(123).overlap(OverlapMode::kAuto).run(g);
-  const auto json = result.to_json();
-  EXPECT_NE(json.find("\"schema\":\"dlouvain-run-manifest/6\""), std::string::npos);
-  EXPECT_NE(json.find("\"overlap\":{\"mode\":\"auto\""), std::string::npos);
-  EXPECT_NE(json.find("\"decision\":"), std::string::npos);
-  EXPECT_NE(json.find("\"predicted_hidden_s\":"), std::string::npos);
-  EXPECT_NE(json.find("\"measured_latency_s\":"), std::string::npos);
-
-  // Forced modes report themselves without model fields pretending to exist.
-  const auto forced =
-      Plan::distributed(2).threads(1).seed(123).overlap(OverlapMode::kOn).run(g);
-  const auto& t = forced.distributed->overlap;
-  EXPECT_EQ(t.mode, "on");
-  EXPECT_EQ(t.decision, "on");
-  EXPECT_EQ(t.probe_iterations_off, 0);
 }
 
 }  // namespace

@@ -10,7 +10,8 @@
 //    traffic as a clean run -- discarded attempts land in
 //    recovery.wasted_messages/bytes, never in Result::messages;
 //  * satellite 2: per-phase TimeBreakdowns sum to the run breakdown and
-//    never exceed their phase's wall time (no double counting);
+//    never exceed their phase's wall time (no double counting); comm_hidden
+//    reads 0 and stays out of total();
 //  * satellite 3: counters survive checkpoint/resume (v2 counters.bin) and
 //    a v1-era checkpoint without counters.bin still resumes, with restored
 //    counters reading zero;
@@ -36,10 +37,10 @@
 #include "core/dist_louvain.hpp"
 #include "core/metrics.hpp"
 #include "dlouvain.hpp"
+#include "golden.hpp"
 #include "gen/rmat.hpp"
 #include "graph/csr.hpp"
 #include "graph/partition.hpp"
-#include "util/crc32.hpp"
 #include "util/metrics.hpp"
 #include "util/trace.hpp"
 
@@ -47,15 +48,7 @@ namespace {
 
 using namespace dlouvain;
 namespace dc = dlouvain::comm;
-
-graph::Csr rmat10() {
-  gen::RmatParams p;
-  p.scale = 10;
-  p.edges_per_vertex = 8;
-  p.seed = 42;
-  const auto g = gen::rmat(p);
-  return graph::from_edges(g.num_vertices, g.edges);
-}
+using namespace dlouvain::golden;
 
 graph::Csr rmat8() {
   gen::RmatParams p;
@@ -76,10 +69,6 @@ std::filesystem::path scratch_file(const std::string& name) {
   auto path = std::filesystem::temp_directory_path() / name;
   std::filesystem::remove(path);
   return path;
-}
-
-std::uint32_t crc_of(const std::vector<CommunityId>& v) {
-  return util::crc32(v.data(), v.size() * sizeof(CommunityId));
 }
 
 std::int64_t counter(const Result& r, util::Counter c) {
@@ -116,17 +105,12 @@ TEST(Tracing, TraceOnIsBitwiseIdenticalAcrossThreadCounts) {
 }
 
 TEST(Tracing, GoldenConstantsHoldWithTracingEnabled) {
-  // Same golden bits test_hotpath pins for the untraced dist p4 run
-  // (re-baselined for the ISSUE 5 interior-first schedule).
+  // Same golden bits test_hotpath pins for the untraced dist p4 run.
   const auto g = rmat10();
   const auto path = scratch_file("dl_trace_golden.json");
   const auto r =
       Plan::distributed(4).threads(1).seed(123).trace(path.string()).run(g);
-  EXPECT_EQ(std::bit_cast<std::uint64_t>(r.modularity), 0x3fc41f2c83fa1be6ULL);
-  EXPECT_EQ(crc_of(r.community), 0xa7beaffcu);
-  EXPECT_EQ(r.num_communities, 223);
-  EXPECT_EQ(r.phases, 5);
-  EXPECT_EQ(r.total_iterations, 22);
+  expect_golden(r, kDistP4Rmat, "traced");
   std::filesystem::remove(path);
 }
 
@@ -242,6 +226,30 @@ TEST(Breakdown, SingleThreadComputeBusyIsPositiveAndWithinCompute) {
   const auto& b = r.distributed->breakdown;
   EXPECT_GT(b.compute_busy, 0.0);
   EXPECT_LE(b.compute_busy, b.compute);
+}
+
+TEST(Breakdown, CommHiddenReadsZeroAndIsExcludedFromTotal) {
+  // Every exchange blocks where it is launched, so no latency is hidden. The
+  // field and its manifest key stay because perfbench reads both.
+  const auto r = Plan::distributed(4).threads(1).seed(123).run(rmat10());
+  const auto& d = *r.distributed;
+  EXPECT_EQ(d.breakdown.comm_hidden, 0.0);
+  for (const auto& ph : d.phase_telemetry) EXPECT_EQ(ph.breakdown.comm_hidden, 0.0);
+  const auto json = r.to_json();
+  EXPECT_NE(json.find("\"comm_hidden\":0}"), std::string::npos);
+  EXPECT_EQ(json.find("\"overlap\""), std::string::npos);
+
+  // total() is the attributed wall-time split; comm_hidden is not in it.
+  core::TimeBreakdown b;
+  b.ghost_exchange = 1;
+  b.community_info = 2;
+  b.compute = 4;
+  b.delta_exchange = 8;
+  b.allreduce = 16;
+  b.rebuild = 32;
+  b.compute_busy = 64;
+  b.comm_hidden = 128;
+  EXPECT_EQ(b.total(), 63.0);
 }
 
 // ---- per-phase load lambdas --------------------------------------------------
@@ -463,7 +471,7 @@ TEST(Manifest, ToJsonIsValidStableAndDeterministic) {
   expect_balanced_json(json);
   EXPECT_EQ(json.front(), '{');
   EXPECT_EQ(json.back(), '}');
-  EXPECT_NE(json.find("\"schema\":\"dlouvain-run-manifest/6\""), std::string::npos);
+  EXPECT_NE(json.find("\"schema\":\"dlouvain-run-manifest/7\""), std::string::npos);
   EXPECT_NE(json.find("\"engine\":\"distributed\""), std::string::npos);
   EXPECT_NE(json.find("\"updates\":{\"batches_applied\":0"), std::string::npos);
   EXPECT_NE(json.find("\"comm.messages\":"), std::string::npos);
@@ -489,7 +497,7 @@ TEST(Manifest, SerialAndSharedEnginesEmitValidManifests) {
        {Plan::serial().seed(123).run(g), Plan::shared(2).seed(123).run(g)}) {
     const auto json = r.to_json();
     expect_balanced_json(json);
-    EXPECT_NE(json.find("\"schema\":\"dlouvain-run-manifest/6\""),
+    EXPECT_NE(json.find("\"schema\":\"dlouvain-run-manifest/7\""),
               std::string::npos);
     EXPECT_NE(json.find("\"updates\":{"), std::string::npos);
     EXPECT_NE(json.find("\"recovery\":{"), std::string::npos);

@@ -15,13 +15,6 @@ With --manifest, additionally validates a run manifest produced by
 `dlouvain_cli --metrics-out` (or Plan::metrics): schema id, counter catalog
 and internal consistency (whole-job totals == restored + executed).
 
-When the current results carry an `overlap_ablation` section (the PR5 trail,
-`micro_kernels --pr5_json=...`), it is validated too: the on/off runs must
-have produced identical results, overlap-off must hide ~nothing, and the
-hidden fraction (comm_hidden / total exchange latency of the overlap-on run)
-must reach --min-hidden. Use --emit pr5 with --bench to produce the PR5
-trail instead of the PR3 one (adds --ranks / --delay-ms knobs).
-
 When the current results carry an `update` section (the PR6 trail, produced
 by `micro_update --pr6_json=...` or `--emit pr6 --bench build/bench/
 micro_update`), the streaming-session acceptance bar is checked instead of
@@ -38,14 +31,11 @@ no message may have exhausted the retry budget at the sub-threshold rate.
 Timing overheads are recorded in the trail but not asserted (wall clocks on
 shared hosts are noise).
 
-When the current results carry an `overlap_auto` section (the PR8 trail,
-`micro_kernels --pr8_json=...` or `--emit pr8`), the sweep-kernel and
-cost-model acceptance bars are checked: the segmented kernel must be
-at least --min-lane-speedup x faster than the flat gather baseline measured
-in the SAME run (interleaved reps, so the ratio is noise-robust), all six
-overlap-mode runs must have produced identical results, and `--overlap=auto`
-wall-clock must sit within --auto-tolerance of min(on, off) at both the
-zero-latency and the delayed point, with the cost-model decision recorded.
+When the current results are the PR8 trail (`micro_kernels --pr8_json=...`
+or `--emit pr8`), the sweep-kernel acceptance bar is checked too: the
+segmented kernel must be at least --min-lane-speedup x faster than the flat
+gather baseline measured in the SAME run (interleaved reps, so the ratio is
+noise-robust).
 
 Exit code 0 = within bounds, 1 = regression or malformed input,
 2 = missing input file (e.g. the baseline was never committed).
@@ -56,9 +46,8 @@ Usage:
   check_bench_regression.py --baseline BENCH_PR3.json --current fresh.json
   check_bench_regression.py --baseline BENCH_PR3.json --current fresh.json \
       --manifest run_manifest.json
-  check_bench_regression.py --baseline BENCH_PR5.json --emit pr5 \
-      --bench build/bench/micro_kernels --scale 12 --dist-scale 10 \
-      --ranks 4 --reps 2 --min-hidden 0
+  check_bench_regression.py --baseline BENCH_PR8.json --emit pr8 \
+      --bench build/bench/micro_kernels --scale 12 --reps 3
 """
 
 import argparse
@@ -97,9 +86,9 @@ MANIFEST_COUNTERS_V3 = (
     "heartbeat.slow_extensions",
 )
 
-# v4 adds the overlap cost-model probe reclassification counters (probe
-# allreduce traffic is model overhead, not algorithm traffic); v1-v3
-# documents remain valid inputs without them.
+# v4-v6 carry the overlap cost-model probe reclassification counters (probe
+# allreduce traffic was model overhead, not algorithm traffic); v1-v3
+# documents predate them and v7 dropped them with the cost model.
 MANIFEST_COUNTERS_V4 = (
     "overlap.probe_messages", "overlap.probe_bytes",
 )
@@ -153,9 +142,10 @@ def check_manifest(manifest, failures):
             failures.append("v2 manifest carries no updates object")
     if engine != "distributed":
         return  # serial/shared manifests carry no counters by design
-    # v4 adds the always-present "overlap" object recording the kOff/kOn
-    # constant or the kAuto cost-model decision + inputs.
-    if version.isdigit() and int(version) >= 4 and engine == "distributed":
+    # v4-v6 carry the always-present "overlap" object recording the overlap
+    # mode and its cost-model decision + inputs; v7 dropped it with the
+    # overlap modes.
+    if version.isdigit() and 4 <= int(version) <= 6:
         overlap = manifest.get("overlap")
         if not isinstance(overlap, dict):
             failures.append("v4 distributed manifest carries no overlap object")
@@ -179,7 +169,7 @@ def check_manifest(manifest, failures):
     required = MANIFEST_COUNTERS
     if version.isdigit() and int(version) >= 3:
         required = required + MANIFEST_COUNTERS_V3
-    if version.isdigit() and int(version) >= 4:
+    if version.isdigit() and 4 <= int(version) <= 6:
         required = required + MANIFEST_COUNTERS_V4
     if version.isdigit() and int(version) >= 6:
         required = required + MANIFEST_COUNTERS_V6
@@ -195,43 +185,6 @@ def check_manifest(manifest, failures):
             f"+ executed {executed} (counter-semantics contract broken)")
     print(f"manifest: {engine} run, {total} messages "
           f"({executed} executed, {restored.get('messages', 0)} restored): ok")
-
-
-def check_overlap_ablation(ablation, min_hidden, failures):
-    """Validate the PR5 overlap on/off ablation; append problems to failures.
-
-    Three contracts: (1) overlap is a schedule change only, so the on and off
-    runs must have produced bitwise-identical results; (2) with overlap off
-    nothing is overlapped, so comm_hidden must be ~0; (3) with overlap on, the
-    interior-first schedule must hide at least min_hidden of the total
-    exchange latency (blocked wall + hidden) behind compute.
-    """
-    for key in ("identical", "off", "on", "hidden_fraction", "comm_hidden"):
-        if key not in ablation:
-            failures.append(f"overlap_ablation missing '{key}'")
-            return
-    if ablation["identical"] is not True:
-        failures.append("overlap on/off runs did not produce identical results")
-    off = ablation["off"]
-    off_hidden = off.get("comm_hidden", 0.0)
-    off_exchange = off.get("ghost_exchange", 0.0) + off.get("delta_exchange", 0.0)
-    # Off-mode tolerance: the blocking wait can still observe a message that
-    # arrived a hair before it began; anything beyond 1% of the exchange wall
-    # means the off path is overlapping, which it must not.
-    if off_hidden > 0.01 * max(off_exchange, 1e-9):
-        failures.append(
-            f"overlap-off run hid {off_hidden:.4f}s of {off_exchange:.4f}s "
-            f"exchange latency (> 1%); off mode must not overlap")
-    fraction = ablation["hidden_fraction"]
-    print(f"overlap ablation: ranks={ablation.get('ranks')} "
-          f"scale={ablation.get('scale')} delay={ablation.get('delay_ms')}ms  "
-          f"hidden {ablation['comm_hidden']:.3f}s of "
-          f"{ablation['comm_hidden'] + ablation.get('exchange_wall', 0.0):.3f}s "
-          f"exchange latency ({fraction:.1%}, floor {min_hidden:.0%})")
-    if fraction < min_hidden:
-        failures.append(
-            f"overlap hid only {fraction:.1%} of exchange latency "
-            f"(floor {min_hidden:.0%})")
 
 
 def check_arq_section(arq, failures):
@@ -281,51 +234,6 @@ def check_arq_section(arq, failures):
                         "no repair happened (raise the stream volume)")
 
 
-def check_overlap_auto(auto, tolerance, failures):
-    """Validate the PR8 overlap cost-model trail; append problems to failures.
-
-    Three contracts: (1) the overlap knob is a schedule change only, so all
-    six runs (off/on/auto x zero-latency/delayed) must have produced
-    identical results; (2) at each latency point, `--overlap=auto` must land
-    within `tolerance` of min(on, off) wall-clock -- the cost model may not
-    pick a mode that costs more than that over the best forced choice; (3)
-    the model must actually have decided (decision on/off recorded, probes
-    executed), not fallen through undecided.
-    """
-    if auto.get("identical") is not True:
-        failures.append("overlap off/on/auto runs did not produce identical "
-                        "results")
-    for point in ("zero_latency", "delayed"):
-        section = auto.get(point)
-        if not isinstance(section, dict):
-            failures.append(f"overlap_auto missing '{point}' section")
-            continue
-        missing = [k for k in ("off_seconds", "on_seconds", "auto_seconds",
-                               "auto_decision", "auto_decided")
-                   if k not in section]
-        if missing:
-            failures.append(f"overlap_auto.{point} missing {missing}")
-            continue
-        best = min(section["off_seconds"], section["on_seconds"])
-        excess = section["auto_seconds"] / best - 1.0
-        print(f"overlap auto [{point}]: off {section['off_seconds']:.4f}s, "
-              f"on {section['on_seconds']:.4f}s, auto "
-              f"{section['auto_seconds']:.4f}s ({excess:+.1%} vs best, "
-              f"tol {tolerance:.0%}, decision '{section['auto_decision']}')")
-        if excess > tolerance:
-            failures.append(
-                f"overlap_auto.{point}: auto {section['auto_seconds']:.4f}s "
-                f"is {excess:.1%} over min(on, off) {best:.4f}s "
-                f"(tolerance {tolerance:.0%})")
-        if section["auto_decision"] not in ("on", "off"):
-            failures.append(
-                f"overlap_auto.{point}: cost model recorded decision "
-                f"'{section['auto_decision']}', expected on/off")
-        if section["auto_decided"] is not True:
-            failures.append(
-                f"overlap_auto.{point}: cost model never reached a decision")
-
-
 def check_update_section(update, min_speedup, mod_tolerance, failures):
     """Validate the PR6 streaming-update trail; append problems to failures."""
     for key in ("speedup", "modularity_delta", "update_seconds_mean",
@@ -358,7 +266,7 @@ def main():
     parser.add_argument("--bench", help="micro_kernels binary to produce fresh results")
     parser.add_argument("--scale", type=int, default=12, help="RMAT scale for --bench")
     parser.add_argument("--dist-scale", type=int, default=10,
-                        help="RMAT scale for the breakdown run")
+                        help="RMAT scale for the pr3 breakdown run")
     parser.add_argument("--reps", type=int, default=3, help="best-of repetitions")
     parser.add_argument("--tolerance", type=float, default=0.25,
                         help="allowed per-kernel slowdown vs baseline (0.25 = 25%%)")
@@ -367,29 +275,20 @@ def main():
     parser.add_argument("--manifest",
                         help="also validate this --metrics-out run manifest")
     parser.add_argument("--emit",
-                        choices=("pr3", "pr5", "pr6", "pr7", "pr8"),
+                        choices=("pr3", "pr6", "pr7", "pr8"),
                         default="pr3",
                         help="which trail --bench should produce (default pr3)")
     parser.add_argument("--ranks", type=int, default=8,
-                        help="ranks for the pr5 overlap ablation / pr6 session")
-    parser.add_argument("--delay-ms", type=float, default=1.0,
-                        help="simulated per-message wire latency for pr5")
-    parser.add_argument("--min-hidden", type=float, default=0.30,
-                        help="required hidden fraction of exchange latency "
-                             "when an overlap_ablation section is present")
+                        help="ranks for the pr6 session / pr7 ARQ runs")
     parser.add_argument("--min-update-speedup", type=float, default=3.0,
                         help="required Session::update vs from-scratch speedup "
                              "when an update section is present")
     parser.add_argument("--mod-tolerance", type=float, default=1e-3,
                         help="allowed |session - scratch| modularity gap for "
                              "the update section")
-    parser.add_argument("--auto-tolerance", type=float, default=0.05,
-                        help="allowed --overlap=auto wall-clock excess over "
-                             "min(on, off) when an overlap_auto section is "
-                             "present (0.05 = 5%%)")
     parser.add_argument("--min-lane-speedup", type=float, default=1.05,
-                        help="required flat/segmented local-move ratio when "
-                             "an overlap_auto (pr8) section is present")
+                        help="required flat/segmented local-move ratio for "
+                             "the pr8 trail")
     args = parser.parse_args()
 
     if bool(args.current) == bool(args.bench):
@@ -403,19 +302,14 @@ def main():
             args.bench,
             f"--{args.emit}_json={current_path}",
             f"--{args.emit}_scale={args.scale}",
-            f"--{args.emit}_dist_scale={args.dist_scale}",
             f"--{args.emit}_reps={args.reps}",
         ]
-        if args.emit == "pr5":
-            cmd += [f"--pr5_ranks={args.ranks}",
-                    f"--pr5_delay_ms={args.delay_ms}"]
+        if args.emit == "pr3":
+            cmd += [f"--pr3_dist_scale={args.dist_scale}"]
         elif args.emit == "pr6":
             cmd += [f"--pr6_ranks={args.ranks}"]
         elif args.emit == "pr7":
             cmd += [f"--pr7_ranks={args.ranks}"]
-        elif args.emit == "pr8":
-            cmd += [f"--pr8_ranks={args.ranks}",
-                    f"--pr8_delay_ms={args.delay_ms}"]
         print("+", " ".join(cmd), flush=True)
         result = subprocess.run(cmd)
         if result.returncode != 0:
@@ -430,17 +324,12 @@ def main():
     failures = []
     if args.manifest:
         check_manifest(load(args.manifest, "manifest"), failures)
-    if "overlap_ablation" in current:
-        check_overlap_ablation(current["overlap_ablation"], args.min_hidden,
-                               failures)
     if "update" in current:
         check_update_section(current["update"], args.min_update_speedup,
                              args.mod_tolerance, failures)
     if "arq" in current:
         check_arq_section(current["arq"], failures)
-    if "overlap_auto" in current:
-        check_overlap_auto(current["overlap_auto"], args.auto_tolerance,
-                           failures)
+    if current.get("bench") == "micro_kernels.pr8":
         lane_ratio = current.get("ratios", {}).get("flat_over_best_lane")
         if lane_ratio is None:
             failures.append("pr8 results carry no flat_over_best_lane ratio")
@@ -474,7 +363,7 @@ def main():
 
     ratio = current.get("ratios", {}).get("local_move_hash_over_flat")
     if ratio is None:
-        # The kernel-ratio floor applies to kernel trails (pr3/pr5); a pr6
+        # The kernel-ratio floor applies to kernel trails (pr3/pr8); a pr6
         # update trail carries no kernel table by design.
         if "kernels" in current or "kernels" in baseline:
             failures.append("current results carry no local_move_hash_over_flat ratio")

@@ -11,9 +11,6 @@
 //   --threads <t>                  compute threads per rank (default 1)
 //   --coloring                     colour-constrained sweeps (Section VI)
 //   --exchange dense|delta|auto    ghost update wire format (default auto)
-//   --overlap off|on|auto          hide exchange latency behind interior
-//                                  compute (default auto = on when ranks > 1;
-//                                  never changes results)
 //   --output <file>                write "vertex community" lines
 //   --stats                        print degree/component statistics first
 //
@@ -122,8 +119,6 @@ int run_cli(int argc, char** argv) {
   const bool coloring = cli.get_flag("coloring", false, "colour-constrained sweeps");
   const auto exchange_name =
       cli.get_string("exchange", "auto", "ghost update wire format: dense|delta|auto");
-  const auto overlap_name = cli.get_string(
-      "overlap", "auto", "overlap exchanges with interior compute: off|on|auto");
   const auto output = cli.get_string("output", "", "write 'vertex community' lines");
   const bool stats = cli.get_flag("stats", false, "print graph statistics first");
   const int summary = static_cast<int>(
@@ -191,12 +186,6 @@ int run_cli(int argc, char** argv) {
               << "' (expected dense|delta|auto)\n";
     return 1;
   }
-  const auto overlap = core::parse_overlap_mode(overlap_name);
-  if (!overlap) {
-    std::cerr << "dlouvain: unknown --overlap '" << overlap_name
-              << "' (expected off|on|auto)\n";
-    return 1;
-  }
 
   // Fail on an unwritable output path BEFORE spending minutes computing.
   for (const auto& path : {output, trace_out, metrics_out}) {
@@ -243,7 +232,6 @@ int run_cli(int argc, char** argv) {
                   .alpha(alpha)
                   .coloring(coloring)
                   .exchange(*exchange)
-                  .overlap(*overlap)
                   .comm_timeout(comm_timeout)
                   .max_restarts(max_restarts)
                   .retransmit(retransmit, retransmit_backoff_ms)
@@ -272,8 +260,7 @@ int run_cli(int argc, char** argv) {
   }
   std::cout << "variant:      " << core::variant_label(*variant, alpha)
             << (coloring ? " + coloring" : "") << '\n'
-            << "ranks:        " << ranks << " x " << threads << " thread(s), overlap "
-            << core::overlap_mode_label(*overlap) << '\n'
+            << "ranks:        " << ranks << " x " << threads << " thread(s)\n"
             << "communities:  " << result.num_communities << '\n'
             << "modularity:   " << result.modularity << '\n'
             << "phases:       " << result.phases << " (" << result.total_iterations

@@ -8,12 +8,9 @@ then checks:
     all carry name/ph/pid/ts, complete ("X") events carry dur, and at least
     --ranks distinct pids appear (one per simulated rank);
   * the manifest matches the "dlouvain-run-manifest/N" schema (v2 adds the
-    streaming "updates" section, v3 the "recovery.ladder" object, v4 the
-    "overlap" cost-model object) and recorded real traffic (comm.messages > 0
-    for a multi-rank run);
-  * the default --overlap=auto run recorded its cost-model probe iterations
-    as `overlap_probe` spans, and the manifest's overlap object reached a
-    decision consistent with the probes;
+    streaming "updates" section, v3 the "recovery.ladder" object; v7 has no
+    "overlap" object) and recorded real traffic (comm.messages > 0 for a
+    multi-rank run);
   * v5+ manifests carry per-phase load/time lambdas, and the per-phase
     sampling collective behind them shows up as `load_sample` spans.
 
@@ -62,12 +59,9 @@ def check_trace(path, min_pids):
     if spans == 0:
         fail(f"{path}: no complete ('X') span events recorded")
     names = {ev["name"] for ev in events if ev["ph"] == "X"}
-    # overlap_probe: the cost-model sampling iterations behind the default
-    # --overlap=auto decision must be visible in the trace, not silent.
     # load_sample: the per-phase load-lambda sampling collective runs on
     # EVERY run, so its span must always appear.
-    for required in ("phase", "iteration", "compute", "overlap_probe",
-                     "load_sample"):
+    for required in ("phase", "iteration", "compute", "load_sample"):
         if required not in names:
             fail(f"{path}: span taxonomy missing '{required}' "
                  f"(got {sorted(names)})")
@@ -97,22 +91,6 @@ def check_manifest(path):
         ladder = manifest.get("recovery", {}).get("ladder")
         if not isinstance(ladder, dict) or "retransmits" not in ladder:
             fail(f"{path}: v3 manifest carries no recovery.ladder object")
-    # v4 adds the overlap object: the knob, the (possibly cost-model) decision
-    # and the model inputs behind it. The CLI default is --overlap=auto, so
-    # the smoke run must show a decided model, not an undecided fall-through.
-    if version.isdigit() and int(version) >= 4:
-        overlap = manifest.get("overlap")
-        if not isinstance(overlap, dict) or "decision" not in overlap:
-            fail(f"{path}: v4 manifest carries no overlap object")
-        if overlap.get("mode") == "auto":
-            if overlap.get("decided") is not True:
-                fail(f"{path}: --overlap=auto run never reached a decision")
-            if overlap.get("decision") not in ("on", "off"):
-                fail(f"{path}: overlap decision "
-                     f"'{overlap.get('decision')}' is not on/off")
-            if overlap.get("probe_iterations_off", 0) <= 0:
-                fail(f"{path}: auto decision recorded without probe "
-                     f"iterations")
     # v5 adds the per-phase load/time lambdas, sampled on every run.
     if version.isdigit() and int(version) >= 5:
         phases = manifest.get("phases_detail", [])
