@@ -1,20 +1,21 @@
-// Ablation for the ghost exchange along both of its axes:
-//  * topology -- sparse neighbourhood collective (the paper's planned MPI-3
-//    upgrade, Section VI) vs dense all-to-all. Payload bytes are identical;
-//    the sparse path sends O(sum of rank degrees) messages instead of
-//    O(p^2) per exchange, which matters most on spatially local graphs
-//    (banded meshes) where each rank borders only two others.
-//  * wire format -- full mirror lists (dense) vs changed-entries-only
-//    (delta) vs the per-destination crossover pick (auto; the default).
-//    Results are bitwise identical in every mode; only bytes move.
+// Ablation for the ghost exchange (paper Section VI: MPI-3 neighbourhood
+// collectives). The exchange runs over the sparse neighbourhood topology and
+// ships only changed entries; this harness shows what that topology saves
+// against a dense all-to-all without running one. Both message counts are
+// computed from the partition: one ghost exchange sends sum_r
+// |neighbor_ranks(r)| messages sparse and p * (p - 1) dense, so the saving
+// is largest on spatially local graphs (banded meshes, where each rank
+// borders about two others) and vanishes when every rank borders every
+// other. One real run per row reports the ghost bytes shipped and the
+// modularity reached.
 #include <iostream>
 
 #include "bench/harness.hpp"
 #include "comm/world.hpp"
 #include "core/dist_louvain.hpp"
-#include "gen/simple.hpp"
 #include "graph/csr.hpp"
 #include "util/cli.hpp"
+#include "util/metrics.hpp"
 
 int main(int argc, char** argv) {
   using namespace dlouvain;
@@ -24,95 +25,45 @@ int main(int argc, char** argv) {
   const double scale = cli.get_double("scale", 0.5, "surrogate size multiplier");
   if (!cli.finish()) return 1;
 
-  bench::banner("Ablation: neighbourhood collectives vs dense all-to-all ghost exchange",
+  bench::banner("Ablation: neighbourhood collective vs dense all-to-all ghost exchange",
                 "paper Section VI: 'we are considering neighborhood collective "
                 "operations introduced in MPI-3'",
-                "message counts for full Louvain runs, surrogates at scale " +
+                "messages per ghost exchange from the partition's topology, ghost "
+                "bytes and modularity of one run, surrogates at scale " +
                     util::TextTable::fmt(scale, 2));
 
-  util::TextTable table({"graph", "ranks", "avg rank degree", "msgs (sparse)",
-                         "msgs (dense)", "reduction"});
+  util::TextTable table({"graph", "ranks", "avg rank degree", "msgs/exchange (sparse)",
+                         "msgs/exchange (dense)", "reduction", "ghost bytes",
+                         "modularity"});
 
   for (const std::string name : {"channel", "soc-friendster"}) {
     const auto csr = bench::surrogate_csr(name, scale);
     for (const auto p : rank_list) {
-      double rank_degree = 0;
+      std::int64_t sparse = 0;
+      std::int64_t ghost_bytes = 0;
+      double modularity = 0;
       comm::run(static_cast<int>(p), [&](comm::Comm& comm) {
-        const auto dist = graph::DistGraph::from_replicated(comm, csr);
+        auto dist = graph::DistGraph::from_replicated(comm, csr);
         const auto total = comm.allreduce_sum<std::int64_t>(
             static_cast<std::int64_t>(dist.neighbor_ranks().size()));
-        if (comm.is_root()) rank_degree = static_cast<double>(total) / static_cast<double>(p);
+        auto result = core::dist_louvain(comm, std::move(dist), core::DistConfig{});
+        if (comm.is_root()) {
+          sparse = total;
+          ghost_bytes = result.counters[util::Counter::kGhostBytesDelta];
+          modularity = result.modularity;
+        }
       });
-
-      auto traffic = [&](bool sparse) {
-        core::DistConfig cfg;
-        cfg.use_neighbor_exchange = sparse;
-        std::int64_t messages = 0;
-        comm::run(static_cast<int>(p), [&](comm::Comm& comm) {
-          auto dist = graph::DistGraph::from_replicated(comm, csr);
-          auto result = core::dist_louvain(comm, std::move(dist), cfg);
-          if (comm.is_root()) messages = result.messages;
-        });
-        return messages;
-      };
-      const auto sparse = traffic(true);
-      const auto dense = traffic(false);
+      const std::int64_t dense = p * (p - 1);
       table.add_row({name, util::TextTable::fmt(p),
-                     util::TextTable::fmt(rank_degree, 1),
+                     util::TextTable::fmt(static_cast<double>(sparse) / static_cast<double>(p), 1),
                      util::TextTable::fmt(sparse), util::TextTable::fmt(dense),
                      util::TextTable::fmt(100.0 * (1.0 - static_cast<double>(sparse) /
                                                              static_cast<double>(dense)),
                                           1) +
-                         "%"});
+                         "%",
+                     util::TextTable::fmt(ghost_bytes), util::TextTable::fmt(modularity, 6)});
     }
   }
   table.print(std::cout);
-
-  bench::banner("Ablation: ghost-update wire format (dense / delta / auto)",
-                "changed-entries-only updates once most vertices stop moving",
-                "total traffic for full Louvain runs, surrogates at scale " +
-                    util::TextTable::fmt(scale, 2));
-
-  util::TextTable wire({"graph", "ranks", "mode", "bytes", "vs dense", "modularity"});
-  for (const std::string name : {"channel", "soc-friendster"}) {
-    const auto csr = bench::surrogate_csr(name, scale);
-    for (const auto p : rank_list) {
-      std::int64_t dense_bytes = 0;
-      double dense_mod = 0;
-      for (const auto mode :
-           {core::GhostExchangeMode::kDense, core::GhostExchangeMode::kDelta,
-            core::GhostExchangeMode::kAuto}) {
-        core::DistConfig cfg;
-        cfg.ghost_exchange_mode = mode;
-        std::int64_t bytes = 0;
-        double modularity = 0;
-        comm::run(static_cast<int>(p), [&](comm::Comm& comm) {
-          auto dist = graph::DistGraph::from_replicated(comm, csr);
-          auto result = core::dist_louvain(comm, std::move(dist), cfg);
-          if (comm.is_root()) {
-            bytes = result.bytes;
-            modularity = result.modularity;
-          }
-        });
-        if (mode == core::GhostExchangeMode::kDense) {
-          dense_bytes = bytes;
-          dense_mod = modularity;
-        } else if (modularity != dense_mod) {
-          std::cerr << "MODE MISMATCH: " << name << " p=" << p << " "
-                    << core::exchange_mode_label(mode) << " modularity diverged\n";
-          return 1;
-        }
-        wire.add_row({name, util::TextTable::fmt(p),
-                      core::exchange_mode_label(mode),
-                      util::TextTable::fmt(bytes),
-                      util::TextTable::fmt(100.0 * static_cast<double>(bytes) /
-                                               static_cast<double>(dense_bytes),
-                                           1) +
-                          "%",
-                      util::TextTable::fmt(modularity, 6)});
-      }
-    }
-  }
-  wire.print(std::cout);
   return 0;
 }

@@ -44,70 +44,6 @@ inline constexpr Tag kAlltoall = -7300;
 inline constexpr Tag kAllreduceVec = -7500;
 }  // namespace internal_tags
 
-/// An in-flight personalized exchange, returned by Comm::ialltoallv /
-/// Comm::ineighbor_alltoallv. The sends have already been deposited; the
-/// receives are posted but not yet matched. test() absorbs whatever has
-/// landed without blocking; wait() completes the exchange, draining the
-/// remaining peer buffers in ARRIVAL order (whichever lands first is
-/// unpacked first -- no head-of-line blocking on the slowest peer).
-template <typename T>
-class PendingAlltoallv {
- public:
-  PendingAlltoallv() = default;
-  PendingAlltoallv(PendingAlltoallv&&) = default;
-  PendingAlltoallv& operator=(PendingAlltoallv&&) = default;
-
-  /// True once every peer buffer has been absorbed.
-  [[nodiscard]] bool done() const noexcept { return n_done_ == handles_.size(); }
-
-  /// Nonblocking progress: absorb every peer buffer that has already
-  /// arrived. Returns done().
-  bool test() {
-    for (std::size_t i = 0; i < handles_.size(); ++i) {
-      if (!handles_[i].done() && handles_[i].test()) absorb(i);
-    }
-    return done();
-  }
-
-  /// Complete the exchange (blocking). Idempotent.
-  void wait() {
-    std::vector<RecvHandle*> pending;
-    std::vector<std::size_t> orig;
-    for (std::size_t i = 0; i < handles_.size(); ++i) {
-      if (!handles_[i].done()) {
-        pending.push_back(&handles_[i]);
-        orig.push_back(i);
-      }
-    }
-    while (!pending.empty()) {
-      const std::size_t i = wait_any(std::span<RecvHandle* const>(pending));
-      absorb(orig[i]);
-      pending.erase(pending.begin() + static_cast<std::ptrdiff_t>(i));
-      orig.erase(orig.begin() + static_cast<std::ptrdiff_t>(i));
-    }
-  }
-
-  /// Complete and surrender the inbox: slot [i] holds what peer i sent
-  /// (rank-indexed for ialltoallv, neighbour-indexed for the sparse form).
-  std::vector<std::vector<T>> take() {
-    wait();
-    return std::move(inbox_);
-  }
-
- private:
-  friend class Comm;
-
-  void absorb(std::size_t i) {
-    inbox_[slots_[i]] = handles_[i].template take<T>();
-    ++n_done_;
-  }
-
-  std::vector<RecvHandle> handles_;  ///< one posted receive per remote peer
-  std::vector<std::size_t> slots_;   ///< inbox slot per handle
-  std::vector<std::vector<T>> inbox_;
-  std::size_t n_done_{0};
-};
-
 class Comm {
  public:
   Comm(World& world, Rank rank) : world_(&world), rank_(rank) {}
@@ -450,39 +386,27 @@ class Comm {
     return exscan_sum(local) + local;
   }
 
-  /// Launch a personalized all-to-all of variable-length buffers without
-  /// blocking: outbox[r] goes to rank r; the returned operation's inbox slot
-  /// [r] will hold what rank r sent here. The self slot is moved through
-  /// directly without touching the mailbox. Complete with wait()/take();
+  /// Personalized all-to-all of variable-length buffers: outbox[r] goes to
+  /// rank r; the result's slot [r] holds what rank r sent here. The self
+  /// slot is moved through directly without touching the mailbox; the other
   /// replies are drained in arrival order, not rank order.
   template <typename T>
-  PendingAlltoallv<T> ialltoallv(std::vector<std::vector<T>> outbox) {
+  std::vector<std::vector<T>> alltoallv(std::vector<std::vector<T>> outbox) {
     if (outbox.size() != static_cast<std::size_t>(size()))
       throw std::logic_error("alltoallv: outbox must have one slot per rank");
-    PendingAlltoallv<T> op;
-    op.inbox_.resize(static_cast<std::size_t>(size()));
+    std::vector<Rank> peers;
+    peers.reserve(static_cast<std::size_t>(size()) - 1);
     for (Rank r = 0; r < size(); ++r) {
-      if (r == rank_) {
-        op.inbox_[static_cast<std::size_t>(r)] = std::move(outbox[static_cast<std::size_t>(r)]);
-      } else {
-        send<T>(r, internal_tags::kAlltoallv, outbox[static_cast<std::size_t>(r)]);
-      }
+      if (r == rank_) continue;
+      send<T>(r, internal_tags::kAlltoallv, outbox[static_cast<std::size_t>(r)]);
+      peers.push_back(r);
     }
-    op.handles_.reserve(static_cast<std::size_t>(size()) - 1);
-    for (Rank r = 0; r < size(); ++r) {
-      if (r != rank_) {
-        op.handles_.push_back(irecv(r, internal_tags::kAlltoallv));
-        op.slots_.push_back(static_cast<std::size_t>(r));
-      }
-    }
-    return op;
-  }
-
-  /// Personalized all-to-all of variable-length buffers: outbox[r] goes to
-  /// rank r; the result's slot [r] holds what rank r sent here.
-  template <typename T>
-  std::vector<std::vector<T>> alltoallv(std::vector<std::vector<T>> outbox) {
-    return ialltoallv<T>(std::move(outbox)).take();
+    auto received = recv_in_arrival_order<T>(peers, internal_tags::kAlltoallv);
+    std::vector<std::vector<T>> inbox(static_cast<std::size_t>(size()));
+    inbox[static_cast<std::size_t>(rank_)] = std::move(outbox[static_cast<std::size_t>(rank_)]);
+    for (std::size_t i = 0; i < peers.size(); ++i)
+      inbox[static_cast<std::size_t>(peers[i])] = std::move(received[i]);
+    return inbox;
   }
 
   /// Sparse personalized exchange over a fixed neighbourhood -- the analogue
@@ -492,36 +416,19 @@ class Comm {
   /// neighbourhood must be SYMMETRIC across the world (if r lists s, s lists
   /// r), which holds for the ghost-exchange topology of a symmetric graph.
   /// outbox[i] goes to neighbors[i]; the result's slot [i] holds what
-  /// neighbors[i] sent here. Message count is O(sum of degrees) instead of
-  /// O(p^2).
+  /// neighbors[i] sent here, drained in arrival order. Message count is
+  /// O(sum of degrees) instead of O(p^2).
   template <typename T>
   std::vector<std::vector<T>> neighbor_alltoallv(std::span<const Rank> neighbors,
                                                  std::vector<std::vector<T>> outbox) {
-    return ineighbor_alltoallv<T>(neighbors, std::move(outbox)).take();
-  }
-
-  /// Nonblocking launch of the sparse exchange; same contract as
-  /// neighbor_alltoallv, completed via the returned operation. Inbox slot
-  /// [i] will hold what neighbors[i] sent here; replies are drained in
-  /// arrival order.
-  template <typename T>
-  PendingAlltoallv<T> ineighbor_alltoallv(std::span<const Rank> neighbors,
-                                          std::vector<std::vector<T>> outbox) {
     if (outbox.size() != neighbors.size())
       throw std::logic_error("neighbor_alltoallv: one outbox slot per neighbour");
-    PendingAlltoallv<T> op;
-    op.inbox_.resize(neighbors.size());
     for (std::size_t i = 0; i < neighbors.size(); ++i) {
       if (neighbors[i] == rank_)
         throw std::logic_error("neighbor_alltoallv: self must not be listed");
       send<T>(neighbors[i], internal_tags::kNeighbor, outbox[i]);
     }
-    op.handles_.reserve(neighbors.size());
-    for (std::size_t i = 0; i < neighbors.size(); ++i) {
-      op.handles_.push_back(irecv(neighbors[i], internal_tags::kNeighbor));
-      op.slots_.push_back(i);
-    }
-    return op;
+    return recv_in_arrival_order<T>(neighbors, internal_tags::kNeighbor);
   }
 
   /// Fixed all-to-all: one element to/from each rank. Ships flat
@@ -614,6 +521,27 @@ class Comm {
 
   void check_rank(Rank r) const {
     if (r < 0 || r >= size()) throw std::out_of_range("rank out of range");
+  }
+
+  /// Post one receive per peer on `tag`, then drain them in ARRIVAL order
+  /// (whichever peer buffer lands first is unpacked first -- no head-of-line
+  /// blocking on the slowest peer). Slot [i] holds what peers[i] sent.
+  template <typename T>
+  std::vector<std::vector<T>> recv_in_arrival_order(std::span<const Rank> peers, Tag tag) {
+    std::vector<RecvHandle> handles;
+    handles.reserve(peers.size());
+    for (const Rank r : peers) handles.push_back(irecv(r, tag));
+    std::vector<RecvHandle*> pending;
+    pending.reserve(handles.size());
+    for (auto& h : handles) pending.push_back(&h);
+    std::vector<std::vector<T>> inbox(peers.size());
+    while (!pending.empty()) {
+      const std::size_t i = wait_any(std::span<RecvHandle* const>(pending));
+      inbox[static_cast<std::size_t>(pending[i] - handles.data())] =
+          pending[i]->template take<T>();
+      pending.erase(pending.begin() + static_cast<std::ptrdiff_t>(i));
+    }
+    return inbox;
   }
 
   World* world_;

@@ -226,10 +226,10 @@ std::optional<MetaInfo> validate_checkpoint(const std::string& dir, int phase) {
 
 std::uint64_t config_fingerprint(const DistConfig& cfg) {
   // Only fields that change the trajectory of the run; telemetry/threading
-  // knobs are deliberately absent (results are identical across them), as
-  // are ghost_exchange_mode / delta_exchange_crossover (wire format only)
-  // -- a checkpoint written under any setting of those resumes under any
-  // other.
+  // knobs are deliberately absent (results are identical across them). The
+  // constant 1 stands where the retired sparse-vs-dense ghost-exchange
+  // topology switch used to be mixed (its default), so fingerprints of
+  // existing checkpoints stay valid.
   std::uint64_t h = 0x646c6f75636b7074ULL;  // "dlouckpt"
   const auto mix = [&h](std::uint64_t v) { h = util::hash_combine(h, v); };
   const auto mix_f = [&](double v) { mix(std::bit_cast<std::uint64_t>(v)); };
@@ -248,7 +248,7 @@ std::uint64_t config_fingerprint(const DistConfig& cfg) {
   for (const double tau : cfg.cycle_thresholds) mix_f(tau);
   for (const int len : cfg.cycle_lengths) mix(static_cast<std::uint64_t>(len));
   mix_f(cfg.etc_exit_fraction);
-  mix(cfg.use_neighbor_exchange ? 1 : 0);
+  mix(1);
   mix(cfg.use_coloring ? 1 : 0);
   return h;
 }

@@ -19,10 +19,9 @@
 //   <dir>/phase_<k>/counters.bin  cumulative run counters (v2), CRC32-sealed
 //   <dir>/LATEST                  name of the newest complete checkpoint
 //
-// counters.bin is deliberately a SEPARATE file: meta/graph/chain stay
-// byte-identical across ghost-exchange wire modes (a PR3 invariant), while
-// the counters legitimately differ (delta mode ships fewer bytes) and the
-// elapsed-seconds field is wall-clock. A missing or corrupt counters.bin
+// counters.bin is deliberately a SEPARATE file: meta/graph/chain depend
+// only on the run's trajectory, while the counters' elapsed-seconds field
+// is wall-clock. A missing or corrupt counters.bin
 // never invalidates a checkpoint -- resume proceeds with zero restored
 // counters, exactly the v1 behaviour.
 //

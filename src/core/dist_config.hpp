@@ -7,7 +7,6 @@
 #include <string_view>
 #include <vector>
 
-#include "core/exchange_mode.hpp"
 #include "louvain/config.hpp"
 
 namespace dlouvain::core {
@@ -54,22 +53,6 @@ struct DistConfig {
 
   /// Record per-iteration telemetry (modularity evolution for Figs. 5-6).
   bool record_iterations{true};
-
-  /// Run the per-iteration ghost exchange over the sparse neighbourhood
-  /// topology (the paper's planned MPI-3 neighbourhood-collective upgrade)
-  /// instead of a dense all-to-all. Same results either way; kept as a knob
-  /// for the ablation bench.
-  bool use_neighbor_exchange{true};
-
-  /// Wire format of the per-iteration ghost community update: full mirror
-  /// lists (dense), changed entries only (delta), or a per-destination pick
-  /// (auto, the default). Results are identical in every mode; see
-  /// core/exchange_mode.hpp.
-  GhostExchangeMode ghost_exchange_mode{GhostExchangeMode::kAuto};
-
-  /// kAuto's crossover: a destination goes delta when 2 * changed entries
-  /// <= crossover * mirror list size.
-  double delta_exchange_crossover{0.5};
 
   /// Process vertices color class by color class (distributed distance-1
   /// coloring, recomputed per phase) so concurrently-deciding vertices are

@@ -180,9 +180,6 @@ PhaseResult run_phase(comm::Comm& comm, const graph::DistGraph& g,
   std::vector<util::SegmentedAccumulator<Weight>> scatter(
       static_cast<std::size_t>(pool.num_threads()));
 
-  const GhostExchangeConfig xcfg{cfg.use_neighbor_exchange, cfg.ghost_exchange_mode,
-                                 cfg.delta_exchange_crossover};
-
   // -- Warm start (incremental updates): adopt the seeded assignment -------
   // Every vertex moves from its singleton into its seed community through
   // the ordinary ledger protocol (apply + delta flush + refresh), serially
@@ -224,7 +221,7 @@ PhaseResult run_phase(comm::Comm& comm, const graph::DistGraph& g,
     {
       util::ScopedAccum scope(timers.ghost);
       const util::TraceSpan span(tb, "warm_ghost", "collective", phase);
-      state.ghosts.exchange(comm, state.owned_community, xcfg);
+      state.ghosts.exchange(comm, state.owned_community);
     }
     {
       util::ScopedAccum scope(timers.cinfo);
@@ -238,7 +235,7 @@ PhaseResult run_phase(comm::Comm& comm, const graph::DistGraph& g,
     }
 
     // Affected-row mask: reactivated, or adjacent to a reactivated vertex
-    // (locally or across a rank boundary -- one dense flag exchange).
+    // (locally or across a rank boundary -- one flag exchange).
     GhostField<std::int64_t> ghost_active(g, 0);
     {
       std::vector<std::int64_t> owned_active(static_cast<std::size_t>(local_n), 0);
@@ -246,7 +243,7 @@ PhaseResult run_phase(comm::Comm& comm, const graph::DistGraph& g,
         owned_active[static_cast<std::size_t>(lv)] =
             warm->reactivated[static_cast<std::size_t>(lv)] != 0 ? 1 : 0;
       util::ScopedAccum scope(timers.ghost);
-      ghost_active.exchange(comm, owned_active, xcfg);
+      ghost_active.exchange(comm, owned_active);
     }
     affected.assign(static_cast<std::size_t>(local_n), 0);
     for (VertexId lv = 0; lv < local_n; ++lv) {
@@ -361,7 +358,7 @@ PhaseResult run_phase(comm::Comm& comm, const graph::DistGraph& g,
     {
       util::ScopedAccum scope(timers.ghost);
       const util::TraceSpan span(tb, "ghost_exchange", "collective", phase, iter);
-      state.ghosts.exchange(comm, state.owned_community, xcfg);
+      state.ghosts.exchange(comm, state.owned_community);
     }
 
     // Local move computation (Alg. 3 l.6-9), threaded as a sequence of
@@ -610,7 +607,7 @@ PhaseResult run_phase(comm::Comm& comm, const graph::DistGraph& g,
   {
     util::ScopedAccum scope(timers.ghost);
     const util::TraceSpan span(tb, "ghost_exchange", "collective", phase);
-    state.ghosts.exchange(comm, state.owned_community, xcfg);
+    state.ghosts.exchange(comm, state.owned_community);
   }
   {
     util::ScopedAccum scope(timers.allreduce);

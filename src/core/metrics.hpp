@@ -8,7 +8,7 @@
 // built from these helpers.
 //
 // Manifest schema (stable, versioned): see docs/OBSERVABILITY.md. The
-// top-level "schema" key is "dlouvain-run-manifest/7"; v2 added the always-
+// top-level "schema" key is "dlouvain-run-manifest/8"; v2 added the always-
 // present "updates" section (streaming-session telemetry), v3 the
 // "recovery.ladder" section (graduated recovery telemetry: retransmits,
 // verdicts, shrinks) and the arq.*/heartbeat.* counters, v4 the "overlap"
@@ -18,7 +18,9 @@
 // lambda sampling traffic load_sample.* (both versions always sampled the
 // lambdas), and v7 drops the "overlap" object and the overlap.* counters
 // (every exchange blocks where it is launched; breakdown.comm_hidden stays
-// and reads 0). v1-v6 documents remain valid inputs for the tooling
+// and reads 0), and v8 drops the ghost.bytes_dense counter (the ghost
+// exchange ships only changed entries, counted in ghost.bytes_delta). v1-v7
+// documents remain valid inputs for the tooling
 // (tools/check_bench_regression.py, tools/validate_trace.py accept all
 // versions).
 #pragma once
@@ -31,7 +33,7 @@
 
 namespace dlouvain::core {
 
-inline constexpr std::string_view kManifestSchema = "dlouvain-run-manifest/7";
+inline constexpr std::string_view kManifestSchema = "dlouvain-run-manifest/8";
 
 /// JSON string escaping (quotes, backslash, control characters).
 std::string json_escape(std::string_view s);

@@ -41,8 +41,6 @@ core::DistConfig Plan::dist_config() const {
   cfg.add_threshold_cycling = cycling_;
   cfg.use_coloring = coloring_;
   cfg.record_iterations = record_iterations_;
-  cfg.ghost_exchange_mode = exchange_mode_;
-  cfg.delta_exchange_crossover = exchange_crossover_;
   cfg.threads_per_rank = threads_;
   // Effective checkpoint directory: checkpointing() wins when both are set
   // (validate() rejects two DIFFERENT directories); resume() alone keeps
@@ -100,7 +98,6 @@ void Plan::validate() const {
   if (max_restarts_ > 0) dist_only("max_restarts()");
   if (retransmit_max_ > 0) dist_only("retransmit()");
   if (shrink_on_rank_loss_) dist_only("shrink_on_rank_loss()");
-  if (exchange_mode_ != GhostExchangeMode::kAuto) dist_only("exchange()");
   if (partition_ != graph::PartitionKind::kEvenEdges) dist_only("partition()");
 }
 

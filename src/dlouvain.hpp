@@ -141,9 +141,6 @@ struct UpdateStats {
 /// never open the core namespace.
 using core::Variant;
 
-/// Ghost-exchange wire modes (core/exchange_mode.hpp), re-exported likewise.
-using core::GhostExchangeMode;
-
 /// Which implementation a Plan dispatches to.
 enum class Engine {
   kSerial,       ///< single-threaded reference (louvain/serial.hpp)
@@ -219,10 +216,10 @@ struct Result {
   /// maintained by Session::update). The manifest's v2 "updates" section.
   core::UpdateTelemetry updates;
 
-  /// Machine-readable run manifest (schema "dlouvain-run-manifest/7"; see
-  /// docs/OBSERVABILITY.md). Valid JSON for every engine; the distributed
-  /// engine adds counters, breakdown and per-phase detail. Same content
-  /// `Plan::metrics(path)` writes to disk.
+  /// Machine-readable run manifest (schema "dlouvain-run-manifest/8"; see
+  /// docs/OBSERVABILITY.md; v8 dropped the ghost.bytes_dense counter). Valid
+  /// JSON for every engine; the distributed engine adds counters, breakdown
+  /// and per-phase detail. Same content `Plan::metrics(path)` writes to disk.
   [[nodiscard]] std::string to_json() const;
 };
 
@@ -283,12 +280,6 @@ class Plan {
   Plan& vertex_following(bool on = true) { vertex_following_ = on; return *this; }
   /// Record per-iteration telemetry (distributed engine, Figs. 5-6 series).
   Plan& record_iterations(bool on = true) { record_iterations_ = on; return *this; }
-  /// Ghost-exchange wire format (distributed engine): dense mirror lists,
-  /// changed-entries-only deltas, or a per-destination pick (the default).
-  /// Never changes results -- a bandwidth knob.
-  Plan& exchange(GhostExchangeMode mode) { exchange_mode_ = mode; return *this; }
-  /// kAuto's delta crossover threshold (see DistConfig).
-  Plan& exchange_crossover(double c) { exchange_crossover_ = c; return *this; }
 
   // -- fault tolerance (distributed engine; see docs/FAULT_TOLERANCE.md) --
   /// Write phase-boundary checkpoints into `dir` (every `every` phases).
@@ -400,8 +391,6 @@ class Plan {
   bool coloring_{false};
   bool vertex_following_{false};
   bool record_iterations_{true};
-  GhostExchangeMode exchange_mode_{GhostExchangeMode::kAuto};
-  double exchange_crossover_{0.5};
   std::string checkpoint_dir_;
   int checkpoint_every_{1};
   std::string resume_dir_;

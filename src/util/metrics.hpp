@@ -36,9 +36,8 @@ enum class Counter : int {
   kMessages = 0,          ///< point-to-point messages sent (algorithm traffic)
   kBytes,                 ///< payload bytes sent (algorithm traffic)
   kDuplicatesDropped,     ///< duplicate deliveries absorbed by the dedup layer
-  kGhostBytesDense,       ///< ghost-exchange payload bytes shipped dense
-  kGhostBytesDelta,       ///< ghost-exchange payload bytes shipped as deltas
-  kGhostRecordsShipped,   ///< ghost values carried (dense entries + delta pairs)
+  kGhostBytesDelta,       ///< ghost-exchange payload bytes ((index, value) pairs)
+  kGhostRecordsShipped,   ///< ghost values carried (one per (index, value) pair)
   kLedgerRefreshRecords,  ///< community info records pushed by refresh()
   kLedgerDeltaRecords,    ///< community delta records shipped to owners
   kCheckpointMessages,    ///< messages reclassified as checkpoint save/load I/O
@@ -62,7 +61,6 @@ inline constexpr std::size_t kNumCounters = static_cast<std::size_t>(Counter::kC
     case Counter::kMessages: return "comm.messages";
     case Counter::kBytes: return "comm.bytes";
     case Counter::kDuplicatesDropped: return "comm.duplicates_dropped";
-    case Counter::kGhostBytesDense: return "ghost.bytes_dense";
     case Counter::kGhostBytesDelta: return "ghost.bytes_delta";
     case Counter::kGhostRecordsShipped: return "ghost.records_shipped";
     case Counter::kLedgerRefreshRecords: return "ledger.refresh_records";

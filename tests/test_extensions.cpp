@@ -6,11 +6,13 @@
 
 #include <algorithm>
 #include <set>
+#include <vector>
 
 #include "comm/world.hpp"
 #include "core/coloring.hpp"
 #include "core/components.hpp"
 #include "core/dist_louvain.hpp"
+#include "core/ghost_exchange.hpp"
 #include "gen/lfr.hpp"
 #include "gen/simple.hpp"
 #include "gen/ssca2.hpp"
@@ -357,38 +359,36 @@ TEST(NeighborCollectives, RejectsSelfInNeighborList) {
   });
 }
 
-TEST(NeighborCollectives, GhostExchangeSavesMessagesOnLocalTopology) {
-  // A banded graph distributed over many ranks: each rank only borders its
-  // two neighbours, so neighbour exchange sends far fewer messages than the
-  // dense all-to-all.
+TEST(NeighborCollectives, GhostExchangeSendsOneMessagePerNeighborRank) {
+  // A banded graph over 8 ranks: each rank borders only a few others. The
+  // ghost exchange's topology must be exactly the owners of this rank's
+  // ghosts (recomputed here from the edge list under the partition), and
+  // one exchange must cost exactly one message per neighbouring rank.
   const auto graph = gen::banded(400, 3);
   const auto g = dg::from_edges(graph.num_vertices, graph.edges);
+  dc::run(8, [&](dc::Comm& comm) {
+    const auto dist = dg::DistGraph::from_replicated(comm, g);
+    const auto& part = dist.partition();
+    std::set<Rank> owners;
+    for (const auto& e : graph.edges) {
+      const Rank ru = part.owner(e.src);
+      const Rank rv = part.owner(e.dst);
+      if (ru == comm.rank() && rv != comm.rank()) owners.insert(rv);
+      if (rv == comm.rank() && ru != comm.rank()) owners.insert(ru);
+    }
+    const auto& neighbors = dist.neighbor_ranks();
+    EXPECT_EQ(std::vector<Rank>(owners.begin(), owners.end()), neighbors);
+    EXPECT_LT(neighbors.size(), static_cast<std::size_t>(comm.size() - 1));
 
-  auto traffic = [&](bool use_neighbor) {
-    core::DistConfig cfg;
-    cfg.use_neighbor_exchange = use_neighbor;
-    std::int64_t messages = 0;
-    dc::run(8, [&](dc::Comm& comm) {
-      auto dist = dg::DistGraph::from_replicated(comm, g);
-      auto result = core::dist_louvain(comm, std::move(dist), cfg);
-      if (comm.rank() == 0) messages = result.messages;
-    });
-    return messages;
-  };
-  const auto sparse = traffic(true);
-  const auto dense = traffic(false);
-  EXPECT_LT(sparse, dense);
-}
-
-TEST(NeighborCollectives, SameResultEitherWay) {
-  const auto graph = gen::clique_chain(6, 5);
-  const auto g = dg::from_edges(graph.num_vertices, graph.edges);
-  core::DistConfig dense_cfg;
-  dense_cfg.use_neighbor_exchange = false;
-  const auto sparse = core::dist_louvain_inprocess(3, g);
-  const auto dense = core::dist_louvain_inprocess(3, g, dense_cfg);
-  EXPECT_EQ(sparse.community, dense.community);
-  EXPECT_EQ(sparse.modularity, dense.modularity);
+    auto ghosts = core::GhostCommunities(dist);
+    std::vector<CommunityId> owned(static_cast<std::size_t>(dist.local_count()));
+    for (VertexId lv = 0; lv < dist.local_count(); ++lv)
+      owned[static_cast<std::size_t>(lv)] = dist.to_global(lv);
+    const auto before = comm.counters()[dlouvain::util::Counter::kMessages];
+    ghosts.exchange(comm, owned);
+    EXPECT_EQ(comm.counters()[dlouvain::util::Counter::kMessages] - before,
+              static_cast<std::int64_t>(neighbors.size()));
+  });
 }
 
 // ---- Quality gather (Section V-D mode) ----------------------------------------------

@@ -7,14 +7,18 @@
 
 #include <filesystem>
 #include <numeric>
+#include <utility>
+#include <vector>
 
 #include "comm/world.hpp"
 #include "core/community_state.hpp"
 #include "core/ghost_exchange.hpp"
+#include "gen/rmat.hpp"
 #include "gen/simple.hpp"
 #include "graph/binary_io.hpp"
 #include "graph/csr.hpp"
 #include "graph/dist_graph.hpp"
+#include "util/metrics.hpp"
 
 namespace core = dlouvain::core;
 namespace dg = dlouvain::graph;
@@ -57,18 +61,16 @@ TEST(GhostField, FillInitHoldsFillValue) {
 
 TEST(GhostField, ExchangePropagatesOwnedValues) {
   const auto g = path_graph(10);
-  for (const bool sparse : {true, false}) {
-    dc::run(3, [&](dc::Comm& comm) {
-      const auto dist = dg::DistGraph::from_replicated(comm, g);
-      // Owned value = 1000 + global id.
-      std::vector<std::int64_t> owned(static_cast<std::size_t>(dist.local_count()));
-      for (VertexId lv = 0; lv < dist.local_count(); ++lv)
-        owned[static_cast<std::size_t>(lv)] = 1000 + dist.to_global(lv);
-      core::GhostField<std::int64_t> field(dist, 0);
-      field.exchange(comm, owned, sparse);
-      for (const VertexId ghost : dist.ghosts()) EXPECT_EQ(field.of(ghost), 1000 + ghost);
-    });
-  }
+  dc::run(3, [&](dc::Comm& comm) {
+    const auto dist = dg::DistGraph::from_replicated(comm, g);
+    // Owned value = 1000 + global id.
+    std::vector<std::int64_t> owned(static_cast<std::size_t>(dist.local_count()));
+    for (VertexId lv = 0; lv < dist.local_count(); ++lv)
+      owned[static_cast<std::size_t>(lv)] = 1000 + dist.to_global(lv);
+    core::GhostField<std::int64_t> field(dist, 0);
+    field.exchange(comm, owned);
+    for (const VertexId ghost : dist.ghosts()) EXPECT_EQ(field.of(ghost), 1000 + ghost);
+  });
 }
 
 TEST(GhostField, AtThrowsForNonGhost) {
@@ -81,46 +83,101 @@ TEST(GhostField, AtThrowsForNonGhost) {
   });
 }
 
-TEST(GhostField, DeltaExchangeMatchesDenseAndReportsChanges) {
-  const auto g = path_graph(10);
-  dc::run(3, [&](dc::Comm& comm) {
-    const auto dist = dg::DistGraph::from_replicated(comm, g);
-    std::vector<std::int64_t> owned(static_cast<std::size_t>(dist.local_count()));
-    for (VertexId lv = 0; lv < dist.local_count(); ++lv)
-      owned[static_cast<std::size_t>(lv)] = dist.to_global(lv);
+namespace {
 
-    core::GhostField<std::int64_t> dense_field(dist, 0);
-    core::GhostField<std::int64_t> delta_field(dist, 0);
-    core::GhostExchangeConfig dense_cfg;
-    dense_cfg.mode = core::GhostExchangeMode::kDense;
-    core::GhostExchangeConfig delta_cfg;
-    delta_cfg.mode = core::GhostExchangeMode::kDelta;
+// Oracle for the one wire format: owned values are a known function of
+// (global id, epoch), so every ghost slot, every change-log entry and every
+// shipped record after each round follows from the graph alone -- no second
+// exchange implementation to agree with.
+std::int64_t oracle_value(VertexId gv, int epoch) {
+  return gv % (epoch + 2) == 0 ? 1000 * (epoch + 1) + gv : gv;
+}
 
-    // Round 1: everything differs from the fill value.
-    dense_field.exchange(comm, owned, dense_cfg);
-    delta_field.exchange(comm, owned, delta_cfg);
-    EXPECT_EQ(dense_field.values(), delta_field.values());
-    EXPECT_EQ(dense_field.last_changes().size(), delta_field.last_changes().size());
+void check_exchange_against_oracle(const dg::Csr& g, int ranks, const dc::RunOptions& options) {
+  // Epoch per round: round 3 repeats round 2's values (a no-change round),
+  // round 5 reverts to round 0's.
+  const std::vector<int> epochs{0, 1, 2, 2, 3, 0};
+  constexpr std::int64_t kFill = -1;  // differs from every oracle value
+  dc::run(
+      ranks,
+      [&](dc::Comm& comm) {
+        const auto dist = dg::DistGraph::from_replicated(comm, g);
+        core::GhostField<std::int64_t> field(dist, kFill);
+        std::vector<std::int64_t> owned(static_cast<std::size_t>(dist.local_count()));
+        for (std::size_t round = 0; round < epochs.size(); ++round) {
+          const int epoch = epochs[round];
+          const auto before = [&](VertexId gv) {
+            return round == 0 ? kFill : oracle_value(gv, epochs[round - 1]);
+          };
+          for (VertexId lv = 0; lv < dist.local_count(); ++lv)
+            owned[static_cast<std::size_t>(lv)] = oracle_value(dist.to_global(lv), epoch);
 
-    // Round 2: nothing moved; neither mode may report changes.
-    dense_field.exchange(comm, owned, dense_cfg);
-    delta_field.exchange(comm, owned, delta_cfg);
-    EXPECT_TRUE(dense_field.last_changes().empty());
-    EXPECT_TRUE(delta_field.last_changes().empty());
+          // Records this rank must ship: mirrored owned entries whose value
+          // changed, once per ghosting rank.
+          std::int64_t expected_records = 0;
+          for (const auto& mirror_list : dist.mirrors()) {
+            for (const VertexId gv : mirror_list)
+              expected_records += oracle_value(gv, epoch) != before(gv) ? 1 : 0;
+          }
+          const auto bytes0 = comm.counters()[dlouvain::util::Counter::kGhostBytesDelta];
+          const auto records0 = comm.counters()[dlouvain::util::Counter::kGhostRecordsShipped];
+          field.exchange(comm, owned);
+          const auto records =
+              comm.counters()[dlouvain::util::Counter::kGhostRecordsShipped] - records0;
+          const auto bytes = comm.counters()[dlouvain::util::Counter::kGhostBytesDelta] - bytes0;
+          EXPECT_EQ(records, expected_records) << "round " << round;
+          EXPECT_EQ(bytes, records * 2 * static_cast<std::int64_t>(sizeof(std::int64_t)))
+              << "round " << round;
+          if (round == 3) {
+            EXPECT_EQ(records, 0);
+            EXPECT_EQ(bytes, 0);
+          }
 
-    // Round 3: one owned value changes; both modes agree again and the
-    // change log carries the old value.
-    owned[0] = -owned[0] - 1;
-    dense_field.exchange(comm, owned, dense_cfg);
-    delta_field.exchange(comm, owned, delta_cfg);
-    EXPECT_EQ(dense_field.values(), delta_field.values());
-    EXPECT_EQ(dense_field.last_changes().size(), delta_field.last_changes().size());
-    for (std::size_t i = 0; i < dense_field.last_changes().size(); ++i) {
-      EXPECT_EQ(dense_field.last_changes()[i].slot, delta_field.last_changes()[i].slot);
-      EXPECT_EQ(dense_field.last_changes()[i].old_value,
-                delta_field.last_changes()[i].old_value);
-    }
-  });
+          // Slots: every ghost holds the oracle value of its own id.
+          const auto& ghosts = dist.ghosts();
+          for (std::size_t s = 0; s < ghosts.size(); ++s)
+            EXPECT_EQ(field.values()[s], oracle_value(ghosts[s], epoch))
+                << "round " << round << " ghost " << ghosts[s];
+
+          // Change log: exactly the slots whose oracle value changed, with
+          // the old value, ascending by slot (slots are grouped by owner in
+          // rank order, so this is also ascending per owner).
+          std::vector<std::pair<std::int64_t, std::int64_t>> expected;
+          for (std::size_t s = 0; s < ghosts.size(); ++s) {
+            if (oracle_value(ghosts[s], epoch) != before(ghosts[s]))
+              expected.emplace_back(static_cast<std::int64_t>(s), before(ghosts[s]));
+          }
+          std::vector<std::pair<std::int64_t, std::int64_t>> actual;
+          for (const auto& change : field.last_changes())
+            actual.emplace_back(change.slot, change.old_value);
+          EXPECT_EQ(actual, expected) << "round " << round;
+        }
+      },
+      options);
+}
+
+dg::Csr rmat7() {
+  gen::RmatParams p;
+  p.scale = 7;
+  p.edges_per_vertex = 8;
+  p.seed = 9;
+  const auto g = gen::rmat(p);
+  return dg::from_edges(g.num_vertices, g.edges);
+}
+
+}  // namespace
+
+TEST(GhostField, SlotsAndChangeLogMatchOracleOnPathAndRmat) {
+  check_exchange_against_oracle(path_graph(10), 3, {});
+  check_exchange_against_oracle(rmat7(), 3, {});
+}
+
+TEST(GhostField, SlotsAndChangeLogMatchOracleUnderDelayAndDuplication) {
+  dc::RunOptions options;
+  options.faults = std::make_shared<dc::FaultInjector>(
+      dc::FaultPlan().with_seed(5).delay(0.1, 0.3).duplicate(0.1));
+  check_exchange_against_oracle(path_graph(10), 3, options);
+  check_exchange_against_oracle(rmat7(), 3, options);
 }
 
 // ---- CommunityLedger -------------------------------------------------------------

@@ -458,7 +458,6 @@ TEST(Checkpoint, FingerprintIsPinnedForExistingConfigs) {
   auto rich = core::DistConfig::etc(0.25);
   rich.add_threshold_cycling = true;
   rich.use_coloring = true;
-  rich.use_neighbor_exchange = true;
   EXPECT_EQ(core::config_fingerprint(rich), 0x9c8b58202a5a6439ULL);
 }
 

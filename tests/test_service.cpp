@@ -335,7 +335,7 @@ TEST(Endpoint, ConcurrentClientsOneDuplicateOneCacheHit) {
   EXPECT_EQ(strip_service(ma), strip_service(mb));
   EXPECT_NE(strip_service(ma), strip_service(mc));
   for (const auto* m : {&ma, &mb, &mc})
-    EXPECT_NE(m->find("\"schema\":\"dlouvain-run-manifest/7\""), std::string::npos);
+    EXPECT_NE(m->find("\"schema\":\"dlouvain-run-manifest/8\""), std::string::npos);
 
   live.endpoint.stop();
   const auto stats = live.scheduler.stats();

@@ -69,14 +69,21 @@ def load(path, what):
         return json.load(handle)
 
 
-# Counters every "dlouvain-run-manifest/1" document must carry (the catalog
+# Counters every "dlouvain-run-manifest/N" document must carry (the catalog
 # in docs/OBSERVABILITY.md; keep the two in sync).
 MANIFEST_COUNTERS = (
     "comm.messages", "comm.bytes", "comm.duplicates_dropped",
-    "ghost.bytes_dense", "ghost.bytes_delta", "ghost.records_shipped",
+    "ghost.bytes_delta", "ghost.records_shipped",
     "ledger.refresh_records", "ledger.delta_records",
     "checkpoint.messages", "checkpoint.bytes", "checkpoint.file_bytes",
     "pool.busy_seconds",
+)
+
+# v1-v7 split ghost-exchange bytes by wire format; v8 dropped the dense
+# format and its counter with it (every ghost update ships only changed
+# entries, counted in ghost.bytes_delta).
+MANIFEST_COUNTERS_V1_TO_V7 = (
+    "ghost.bytes_dense",
 )
 
 # v3 adds the recovery-ladder catalog entries (rung-1 ARQ and the rung-2
@@ -167,6 +174,8 @@ def check_manifest(manifest, failures):
                 break
     counters = manifest.get("counters", {})
     required = MANIFEST_COUNTERS
+    if version.isdigit() and int(version) <= 7:
+        required = required + MANIFEST_COUNTERS_V1_TO_V7
     if version.isdigit() and int(version) >= 3:
         required = required + MANIFEST_COUNTERS_V3
     if version.isdigit() and 4 <= int(version) <= 6:

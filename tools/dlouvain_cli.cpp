@@ -10,7 +10,6 @@
 //   --ranks <p>                    in-process ranks (default 4)
 //   --threads <t>                  compute threads per rank (default 1)
 //   --coloring                     colour-constrained sweeps (Section VI)
-//   --exchange dense|delta|auto    ghost update wire format (default auto)
 //   --output <file>                write "vertex community" lines
 //   --stats                        print degree/component statistics first
 //
@@ -117,8 +116,6 @@ int run_cli(int argc, char** argv) {
   const int threads =
       static_cast<int>(cli.get_int("threads", 1, "compute threads per rank (<=0 = auto)"));
   const bool coloring = cli.get_flag("coloring", false, "colour-constrained sweeps");
-  const auto exchange_name =
-      cli.get_string("exchange", "auto", "ghost update wire format: dense|delta|auto");
   const auto output = cli.get_string("output", "", "write 'vertex community' lines");
   const bool stats = cli.get_flag("stats", false, "print graph statistics first");
   const int summary = static_cast<int>(
@@ -180,12 +177,6 @@ int run_cli(int argc, char** argv) {
               << "' (expected baseline|tc|et|etc)\n";
     return 1;
   }
-  const auto exchange = core::parse_exchange_mode(exchange_name);
-  if (!exchange) {
-    std::cerr << "dlouvain: unknown --exchange '" << exchange_name
-              << "' (expected dense|delta|auto)\n";
-    return 1;
-  }
 
   // Fail on an unwritable output path BEFORE spending minutes computing.
   for (const auto& path : {output, trace_out, metrics_out}) {
@@ -231,7 +222,6 @@ int run_cli(int argc, char** argv) {
                   .variant(*variant)
                   .alpha(alpha)
                   .coloring(coloring)
-                  .exchange(*exchange)
                   .comm_timeout(comm_timeout)
                   .max_restarts(max_restarts)
                   .retransmit(retransmit, retransmit_backoff_ms)
