@@ -31,11 +31,11 @@ struct RebuildOutput {
 /// authoritative sizes used to detect surviving communities.
 ///
 /// `pool` (optional) threads the two O(arcs) passes -- the resolved
-/// edge-list emission here and the CSR sort/assembly inside
+/// edge-list emission here and the per-row sort/coalesce inside
 /// DistGraph::build -- without changing the output: arcs are written at
-/// precomputed CSR offsets and the sort is deterministic-stable (see
-/// util/parallel.hpp), so the rebuilt graph is identical at any thread
-/// count.
+/// precomputed CSR offsets and rows are sorted independently in arrival
+/// order (see graph::build_rows), so the rebuilt graph is identical at any
+/// thread count.
 ///
 /// `build_graph = false` runs only the renumbering (steps 1-4 + the
 /// current->meta mapping), leaving `graph` default-constructed -- the two

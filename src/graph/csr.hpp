@@ -9,6 +9,7 @@
 #include <span>
 #include <vector>
 
+#include "util/parallel.hpp"
 #include "util/types.hpp"
 
 namespace dlouvain::graph {
@@ -58,24 +59,46 @@ class Csr {
 
 /// Options for assembling a Csr from an arc soup.
 struct BuildOptions {
-  /// Add the reverse of every arc (input is an undirected edge list).
+  /// Add the reverse of every non-loop arc (input is an undirected edge list).
   bool symmetrize{true};
-  /// Merge parallel arcs by summing their weights.
-  bool coalesce{true};
-  /// Drop self loops entirely (rebuild keeps them -- they carry intra-
-  /// community weight -- but raw inputs usually shouldn't have them).
-  bool drop_self_loops{false};
 };
 
-/// Build a CSR over vertex ids [0, num_vertices) from an arbitrary arc list.
+/// The one CSR row builder under every graph build (build_csr / from_edges,
+/// louvain::coarsen and DistGraph::build). Arcs arrive as the concatenation
+/// of `parts` in order; with `symmetrize`, each non-loop arc (u, v, w) is
+/// followed by its reverse (v, u, w). Arc (u, v) lands in row u - first_row,
+/// which must lie in [0, num_rows), and v must lie in [0, dst_bound);
+/// otherwise std::out_of_range is thrown. Rows are local and destinations
+/// keep their own id space, so a rank's slice uses first_row = its first
+/// owned id and dst_bound = the global vertex count.
+///
+/// Each row comes out sorted by dst with parallel arcs coalesced into one,
+/// and the summation order of the coalesced weights is defined: arrival
+/// order, left to right, ((w1 + w2) + w3) + ... This is the contract the
+/// bitwise goldens rest on. Self loops are kept as one arc each.
+///
+/// Work: one degree count, a prefix sum, a scatter into rows in arrival
+/// order, then an independent per-row sort + coalesce (stable insertion sort
+/// for short rows; hubs coalesce through a hash table first and then sort
+/// their distinct arcs, O(d + d' log d')). `pool` (optional) threads the
+/// per-row pass and the final compaction; the result is identical at any
+/// thread count.
+Csr build_rows(VertexId first_row, VertexId num_rows, VertexId dst_bound,
+               std::span<const std::vector<Edge>> parts, bool symmetrize,
+               util::ThreadPool* pool = nullptr);
+
+/// Build a CSR over vertex ids [0, num_vertices) from an arbitrary arc list
+/// (build_rows with one part and rows = destinations = [0, num_vertices)).
 /// Arcs with endpoints outside the range throw std::out_of_range.
 ///
-/// Self loops: a retained self loop (u,u,w) is stored as ONE arc whose weight
-/// is counted twice by weighted_degree(), so modularity arithmetic sees the
-/// conventional A_uu = 2w. (The rebuild step creates these.)
-Csr build_csr(VertexId num_vertices, std::vector<Edge> arcs, const BuildOptions& opts = {});
+/// Self loops: a self loop (u,u,w) is stored as ONE arc whose weight is
+/// counted twice by weighted_degree(), so modularity arithmetic sees the
+/// conventional A_uu = 2w. (Coarsening and rebuild create these.)
+Csr build_csr(VertexId num_vertices, const std::vector<Edge>& arcs,
+              const BuildOptions& opts = {});
 
-/// Convenience for tests/examples: undirected edge list -> symmetric CSR.
+/// Undirected edge list -> symmetric CSR (build_csr with symmetrize on), so
+/// duplicate edges, in either orientation, sum in input order.
 Csr from_edges(VertexId num_vertices, const std::vector<Edge>& undirected_edges);
 
 }  // namespace dlouvain::graph

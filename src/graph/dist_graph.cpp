@@ -37,59 +37,14 @@ DistGraph DistGraph::build(comm::Comm& comm, const Partition1D& part,
   g.rank_ = comm.rank();
   g.part_ = part;
 
-  // Re-base sources to local row indices and assemble the local CSR.
+  // Assemble the local CSR: rows are owned vertices, dst stays global.
+  // Arrival order is the inbox from rank 0 to rank p-1, each in its sender's
+  // outbox order, so duplicate (src, dst) arcs sum in that order at any
+  // thread count.
   const VertexId lo = part.begin(comm.rank());
-  std::vector<Edge> local_arcs;
-  std::size_t total = 0;
-  for (const auto& part_arcs : inbox) total += part_arcs.size();
-  local_arcs.reserve(total);
-  for (auto& part_arcs : inbox) {
-    for (Edge& e : part_arcs) {
-      e.src -= lo;
-      local_arcs.push_back(e);
-    }
-    part_arcs.clear();
-    part_arcs.shrink_to_fit();
-  }
-
-  BuildOptions opts;
-  opts.symmetrize = false;  // both directions already routed explicitly
-  opts.coalesce = true;
-  // Note: local row ids in [0, local_count), but dst stays global, so the
-  // CSR is built over max(local_count, n)... build_csr validates endpoints
-  // against one range; handle by building manually instead.
   const VertexId local_n = part.count(comm.rank());
-  // Stable sort so duplicate (src, dst) arcs coalesce their weights in
-  // arrival order -- with the parallel path this is what keeps the rebuilt
-  // graph (and every downstream modularity bit) independent of the thread
-  // count; see util::stable_sort_parallel.
-  util::stable_sort_parallel(pool, local_arcs, [](const Edge& a, const Edge& b) {
-    return a.src != b.src ? a.src < b.src : a.dst < b.dst;
-  });
-  // Coalesce duplicates (parallel edges merge weights).
-  std::size_t out = 0;
-  for (std::size_t i = 0; i < local_arcs.size(); ++i) {
-    if (out > 0 && local_arcs[out - 1].src == local_arcs[i].src &&
-        local_arcs[out - 1].dst == local_arcs[i].dst) {
-      local_arcs[out - 1].weight += local_arcs[i].weight;
-    } else {
-      local_arcs[out++] = local_arcs[i];
-    }
-  }
-  local_arcs.resize(out);
-
-  std::vector<EdgeId> offsets(static_cast<std::size_t>(local_n) + 1, 0);
-  for (const Edge& e : local_arcs) ++offsets[static_cast<std::size_t>(e.src) + 1];
-  for (std::size_t v = 1; v < offsets.size(); ++v) offsets[v] += offsets[v - 1];
-  std::vector<HalfEdge> half(local_arcs.size());
-  util::parallel_for(pool, static_cast<std::int64_t>(local_arcs.size()),
-                     [&](int, std::int64_t begin, std::int64_t end) {
-                       for (std::int64_t i = begin; i < end; ++i)
-                         half[static_cast<std::size_t>(i)] =
-                             HalfEdge{local_arcs[static_cast<std::size_t>(i)].dst,
-                                      local_arcs[static_cast<std::size_t>(i)].weight};
-                     });
-  g.local_ = Csr(local_n, std::move(offsets), std::move(half));
+  g.local_ = build_rows(lo, local_n, n, inbox, /*symmetrize=*/false, pool);
+  inbox.clear();  // free the arcs before ghost discovery
 
   // Weighted degrees (global-id self loops detected against the global id).
   g.degrees_.resize(static_cast<std::size_t>(local_n), 0.0);
@@ -148,8 +103,8 @@ void DistGraph::apply_edge_changes(comm::Comm& comm,
   // A batch of k edges must not cost a full rebuild of |arcs| -- shipping
   // and re-sorting every arc through build() dominates Session::update on
   // any real graph. Instead, splice only the touched CSR rows in place.
-  // Rows are coalesced and dst-sorted by construction (build() stable-sorts
-  // then coalesces; this function preserves both invariants), so each
+  // Rows are coalesced and dst-sorted by construction (build() assembles
+  // them with build_rows; this function preserves both invariants), so each
   // touched row is a small sorted merge.
   //
   // Removals resolve against the pre-batch arc set, directions owned here.

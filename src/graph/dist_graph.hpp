@@ -129,8 +129,11 @@ class DistGraph {
   /// -- e.g. straight out of a generator or a file slice -- and the
   /// constructor routes each arc to the owner of its source. Collective:
   /// all ranks of `comm` must call with the same global_n and partition.
-  /// `pool` (optional) threads the local CSR assembly (sort + fills); the
-  /// resulting graph is identical at any thread count.
+  /// The local rows come from graph::build_rows, so duplicate arcs sum in
+  /// arrival order: the inbox from rank 0 to rank p-1, each in its sender's
+  /// input order (an edge's forward arc before its reverse). `pool`
+  /// (optional) threads the per-row pass; the resulting graph is identical
+  /// at any thread count.
   static DistGraph build(comm::Comm& comm, const Partition1D& part,
                          std::vector<Edge> edges, bool symmetrize = true,
                          util::ThreadPool* pool = nullptr);

@@ -42,10 +42,12 @@ CoarsenResult coarsen(const graph::Csr& g, std::span<const CommunityId> communit
   // Accumulate meta arcs. Distinct-member intra weight is summed into `intra`
   // (it double counts each undirected pair) and halved at the end; stored
   // member self loops land in `self` at face value. Inter-community arcs are
-  // collected flat and merged by a stable sort -- O(E log E), no per-pair
-  // node allocations -- which reproduces the ordered-map output exactly:
-  // (src, dst)-sorted pairs, equal keys summed in edge-scan order.
-  std::vector<Edge> inter;
+  // emitted in edge-scan order and each meta self loop after them, so the
+  // row builder's arrival-order coalesce sums equal (src, dst) keys in
+  // edge-scan order.
+  std::vector<Edge> arcs;
+  arcs.reserve(static_cast<std::size_t>(g.num_arcs()) +
+               static_cast<std::size_t>(result.num_meta_vertices));
   std::vector<Weight> intra(static_cast<std::size_t>(result.num_meta_vertices), 0.0);
   std::vector<Weight> self(static_cast<std::size_t>(result.num_meta_vertices), 0.0);
   for (VertexId v = 0; v < n; ++v) {
@@ -57,21 +59,8 @@ CoarsenResult coarsen(const graph::Csr& g, std::span<const CommunityId> communit
       } else if (cu == cv) {
         intra[static_cast<std::size_t>(cv)] += e.weight;
       } else {
-        inter.push_back({cv, cu, e.weight});
+        arcs.push_back({cv, cu, e.weight});
       }
-    }
-  }
-  std::stable_sort(inter.begin(), inter.end(), [](const Edge& a, const Edge& b) {
-    return a.src != b.src ? a.src < b.src : a.dst < b.dst;
-  });
-
-  std::vector<Edge> arcs;
-  arcs.reserve(inter.size() + static_cast<std::size_t>(result.num_meta_vertices));
-  for (const auto& e : inter) {
-    if (!arcs.empty() && arcs.back().src == e.src && arcs.back().dst == e.dst) {
-      arcs.back().weight += e.weight;
-    } else {
-      arcs.push_back(e);
     }
   }
   for (CommunityId c = 0; c < result.num_meta_vertices; ++c) {
@@ -79,10 +68,8 @@ CoarsenResult coarsen(const graph::Csr& g, std::span<const CommunityId> communit
     if (loop > 0) arcs.push_back({c, c, loop});
   }
 
-  graph::BuildOptions opts;
-  opts.symmetrize = false;  // both inter directions were accumulated already
-  opts.coalesce = true;
-  result.graph = graph::build_csr(result.num_meta_vertices, std::move(arcs), opts);
+  // Both inter directions were accumulated already.
+  result.graph = graph::build_csr(result.num_meta_vertices, arcs, {.symmetrize = false});
   return result;
 }
 

@@ -2,18 +2,27 @@
 // graph (ghost discovery = paper Algorithm 4), and binary I/O.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
+#include <limits>
+#include <map>
 #include <numeric>
+#include <utility>
 
 #include "comm/world.hpp"
 #include "graph/binary_io.hpp"
 #include "graph/csr.hpp"
 #include "graph/dist_graph.hpp"
 #include "graph/partition.hpp"
+#include "louvain/coarsen.hpp"
+#include "util/parallel.hpp"
+#include "util/prng.hpp"
 
 namespace dg = dlouvain::graph;
 namespace dc = dlouvain::comm;
+using dlouvain::CommunityId;
 using dlouvain::Edge;
 using dlouvain::EdgeId;
 using dlouvain::VertexId;
@@ -64,13 +73,6 @@ TEST(Csr, SelfLoopCountsTwiceInDegree) {
   EXPECT_DOUBLE_EQ(g.total_arc_weight(), 6.0);  // 2m
 }
 
-TEST(Csr, DropSelfLoopsOption) {
-  dg::BuildOptions opts;
-  opts.drop_self_loops = true;
-  const auto g = dg::build_csr(2, {{0, 0, 2.0}, {0, 1, 1.0}}, opts);
-  EXPECT_EQ(g.degree(0), 1);
-}
-
 TEST(Csr, TotalArcWeightIsTwiceEdgeWeight) {
   const auto g = dg::from_edges(4, triangle_plus_pendant());
   EXPECT_DOUBLE_EQ(g.total_arc_weight(), 8.0);  // 4 unit edges -> 2m = 8
@@ -85,6 +87,247 @@ TEST(Csr, EmptyGraph) {
   EXPECT_EQ(g.num_vertices(), 3);
   EXPECT_EQ(g.num_arcs(), 0);
   EXPECT_DOUBLE_EQ(g.total_arc_weight(), 0.0);
+}
+
+// ---------------------------------------------------------------------------
+// CsrBuild: the row builder against an independent ordered-map oracle. The
+// oracle sums each (src, dst) key in the documented arrival order; weights
+// are compared bit for bit, so a builder that coalesced in any other order
+// (or lost stability in a long row) fails on these non-dyadic weights.
+
+namespace {
+
+using ArcMap = std::map<std::pair<VertexId, VertexId>, Weight>;
+
+/// Seeded random multigraph over [0, n): non-dyadic weights, duplicate edges
+/// in both orientations, self loops, rows [n/2, n/2 + 8) and the last row
+/// left empty, and hub vertex 0 with ~300 arcs, far past the insertion-sort
+/// cutoff of short rows.
+std::vector<Edge> hostile_multigraph(std::uint64_t seed, VertexId n) {
+  dlouvain::util::Xoshiro256StarStar rng(seed);
+  const Weight weights[] = {0.1, 1.0 / 3.0, 0.7, 1.0, 2.9};
+  const auto weight = [&] { return weights[rng.next_below(5)]; };
+  const auto vertex = [&] {
+    for (;;) {
+      const auto v = static_cast<VertexId>(rng.next_below(static_cast<std::uint64_t>(n - 1)));
+      if (v < n / 2 || v >= n / 2 + 8) return v;
+    }
+  };
+  std::vector<Edge> edges;
+  for (int i = 0; i < 6 * static_cast<int>(n); ++i) {
+    // Endpoints from a small window so pairs repeat often.
+    const VertexId u = vertex();
+    VertexId v = u + static_cast<VertexId>(rng.next_below(4));
+    if (v >= n - 1 || (v >= n / 2 && v < n / 2 + 8)) v = u;
+    if (rng.next_below(2) != 0) {
+      edges.push_back({u, v, weight()});
+    } else {
+      edges.push_back({v, u, weight()});
+    }
+  }
+  for (int i = 0; i < 300; ++i) {
+    const VertexId v = 1 + static_cast<VertexId>(rng.next_below(40));
+    if (rng.next_below(2) != 0) {
+      edges.push_back({0, v, weight()});
+    } else {
+      edges.push_back({v, 0, weight()});
+    }
+  }
+  edges.push_back({0, 0, weight()});
+  edges.push_back({0, 0, weight()});
+  return edges;
+}
+
+/// Arc weights summed per key in arrival order (input order; an edge's
+/// forward arc before its reverse), or in reverse arrival order.
+ArcMap arrival_order_oracle(const std::vector<Edge>& edges, bool symmetrize,
+                            bool reversed = false) {
+  ArcMap ref;
+  const auto add = [&](const Edge& e) {
+    ref[{e.src, e.dst}] += e.weight;
+    if (symmetrize && e.src != e.dst) ref[{e.dst, e.src}] += e.weight;
+  };
+  if (reversed) {
+    for (auto it = edges.rbegin(); it != edges.rend(); ++it) add(*it);
+  } else {
+    for (const Edge& e : edges) add(e);
+  }
+  return ref;
+}
+
+bool same_bits(const ArcMap& a, const ArcMap& b) {
+  if (a.size() != b.size()) return false;
+  for (const auto& [key, w] : a) {
+    const auto it = b.find(key);
+    if (it == b.end() ||
+        std::bit_cast<std::uint64_t>(it->second) != std::bit_cast<std::uint64_t>(w))
+      return false;
+  }
+  return true;
+}
+
+/// Rows [first_row, first_row + csr.num_vertices()) of `ref`, as the CSR
+/// must hold them: dst-sorted, one arc per key, identical weight bits.
+void expect_rows_match(const dg::Csr& csr, VertexId first_row, const ArcMap& ref) {
+  EdgeId expected_arcs = 0;
+  for (VertexId r = 0; r < csr.num_vertices(); ++r) {
+    const VertexId src = first_row + r;
+    const auto row = csr.neighbors(r);
+    auto it = ref.lower_bound({src, std::numeric_limits<VertexId>::min()});
+    std::size_t i = 0;
+    for (; it != ref.end() && it->first.first == src; ++it, ++i) {
+      ASSERT_LT(i, row.size()) << "row " << src << " is missing arc to " << it->first.second;
+      EXPECT_EQ(row[i].dst, it->first.second) << "row " << src << " arc " << i;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(row[i].weight),
+                std::bit_cast<std::uint64_t>(it->second))
+          << "row " << src << " dst " << it->first.second << ": " << row[i].weight
+          << " vs oracle " << it->second;
+    }
+    EXPECT_EQ(i, row.size()) << "row " << src << " has extra arcs";
+    expected_arcs += static_cast<EdgeId>(i);
+  }
+  EXPECT_EQ(csr.num_arcs(), expected_arcs);
+}
+
+}  // namespace
+
+TEST(CsrBuild, OracleIsOrderSensitive) {
+  // Guard for the tests below: on these inputs, summing in reverse arrival
+  // order gives different bits, so a wrong coalesce order cannot pass.
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    const auto edges = hostile_multigraph(seed, 200);
+    EXPECT_FALSE(same_bits(arrival_order_oracle(edges, true),
+                           arrival_order_oracle(edges, true, /*reversed=*/true)))
+        << "seed " << seed;
+  }
+}
+
+TEST(CsrBuild, FromEdgesMatchesArrivalOrderOracle) {
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    const auto edges = hostile_multigraph(seed, 200);
+    const auto g = dg::from_edges(200, edges);
+    ASSERT_EQ(g.num_vertices(), 200);
+    expect_rows_match(g, 0, arrival_order_oracle(edges, /*symmetrize=*/true));
+    EXPECT_EQ(g.degree(199), 0);
+    EXPECT_EQ(g.degree(100), 0);
+    EXPECT_GT(g.degree(0), 32);
+  }
+}
+
+TEST(CsrBuild, DirectedArcsMatchArrivalOrderOracle) {
+  const auto arcs = hostile_multigraph(7, 150);
+  const auto g = dg::build_csr(150, arcs, {.symmetrize = false});
+  expect_rows_match(g, 0, arrival_order_oracle(arcs, /*symmetrize=*/false));
+}
+
+TEST(CsrBuild, RowsOfASliceMatchOracleAtAnyThreadCount) {
+  // Local rows [40, 90) with global destinations, in two arrival parts.
+  const auto all = hostile_multigraph(11, 120);
+  std::vector<Edge> slice;
+  for (const Edge& e : all)
+    if (e.src >= 40 && e.src < 90) slice.push_back(e);
+  const std::vector<std::vector<Edge>> parts{
+      {slice.begin(), slice.begin() + static_cast<std::ptrdiff_t>(slice.size() / 3)},
+      {slice.begin() + static_cast<std::ptrdiff_t>(slice.size() / 3), slice.end()}};
+  const auto ref = arrival_order_oracle(slice, /*symmetrize=*/false);
+  for (const int threads : {1, 4, 16}) {
+    dlouvain::util::ThreadPool pool(threads);
+    const auto g = dg::build_rows(40, 50, 120, parts, /*symmetrize=*/false, &pool);
+    expect_rows_match(g, 40, ref);
+  }
+}
+
+TEST(CsrBuild, RejectsArcsOutsideTheRowOrDstRange) {
+  const std::vector<std::vector<Edge>> row_low{{{9, 1, 1.0}}};
+  const std::vector<std::vector<Edge>> row_high{{{20, 1, 1.0}}};
+  const std::vector<std::vector<Edge>> dst_high{{{12, 100, 1.0}}};
+  const std::vector<std::vector<Edge>> dst_negative{{{12, -1, 1.0}}};
+  for (const auto* parts : {&row_low, &row_high, &dst_high, &dst_negative})
+    EXPECT_THROW(dg::build_rows(10, 10, 100, *parts, false), std::out_of_range);
+  // Symmetrizing (12, 50) needs row 50, outside the slice.
+  EXPECT_THROW(dg::build_rows(10, 10, 100, std::vector<std::vector<Edge>>{{{12, 50, 1.0}}}, true),
+               std::out_of_range);
+  // The range edges themselves are fine.
+  const auto edge = dg::build_rows(10, 10, 100,
+                                   std::vector<std::vector<Edge>>{{{19, 99, 1.0}, {10, 0, 1.0}}},
+                                   false);
+  EXPECT_EQ(edge.num_arcs(), 2);
+  EXPECT_EQ(edge.neighbors(9)[0].dst, 99);
+}
+
+TEST(CsrBuild, DistGraphBuildMatchesOracleAtEveryRankAndThreadCount) {
+  const VertexId n = 160;
+  const auto edges = hostile_multigraph(5, n);
+  // Contiguous input chunks per rank: the inbox concatenated from rank 0 to
+  // p-1 is then the input order, so the oracle is the from_edges one.
+  const auto ref = arrival_order_oracle(edges, /*symmetrize=*/true);
+  for (int p = 1; p <= 4; ++p) {
+    for (const int threads : {1, 4, 16}) {
+      dc::run(p, [&](dc::Comm& comm) {
+        const auto [lo, hi] = dlouvain::util::fixed_chunk(
+            static_cast<std::int64_t>(edges.size()), comm.rank(), p);
+        std::vector<Edge> mine(edges.begin() + lo, edges.begin() + hi);
+        dlouvain::util::ThreadPool pool(threads);
+        const auto part = dg::partition_even_vertices(n, p);
+        const auto dist = dg::DistGraph::build(comm, part, std::move(mine), true, &pool);
+        SCOPED_TRACE("p=" + std::to_string(p) + " threads=" + std::to_string(threads) +
+                     " rank=" + std::to_string(comm.rank()));
+        expect_rows_match(dist.local(), dist.v_begin(), ref);
+      });
+    }
+  }
+}
+
+TEST(CsrBuild, CoarsenMatchesOrderedMapMetaGraph) {
+  const VertexId n = 200;
+  const auto g = dg::from_edges(n, hostile_multigraph(9, n));
+  dlouvain::util::Xoshiro256StarStar rng(99);
+  std::vector<CommunityId> community(static_cast<std::size_t>(n));
+  for (auto& c : community) c = 3 + 7 * static_cast<CommunityId>(rng.next_below(15));
+
+  // Reference meta graph: compact ids in ascending community order; inter
+  // arcs summed per (meta-src, meta-dst) in edge-scan order; one self loop
+  // of intra/2 + member self loops. Also the reverse-scan sums, to show the
+  // input is order sensitive.
+  std::map<CommunityId, CommunityId> meta;
+  for (const CommunityId c : community) meta.emplace(c, 0);
+  CommunityId next = 0;
+  for (auto& [c, id] : meta) id = next++;
+  ArcMap ref;
+  ArcMap reversed;
+  std::vector<Weight> intra(static_cast<std::size_t>(next), 0.0);
+  std::vector<Weight> self(static_cast<std::size_t>(next), 0.0);
+  std::vector<Edge> inter;
+  for (VertexId v = 0; v < n; ++v) {
+    const CommunityId cv = meta.at(community[static_cast<std::size_t>(v)]);
+    for (const auto& e : g.neighbors(v)) {
+      const CommunityId cu = meta.at(community[static_cast<std::size_t>(e.dst)]);
+      if (e.dst == v) {
+        self[static_cast<std::size_t>(cv)] += e.weight;
+      } else if (cu == cv) {
+        intra[static_cast<std::size_t>(cv)] += e.weight;
+      } else {
+        inter.push_back({cv, cu, e.weight});
+      }
+    }
+  }
+  for (const Edge& e : inter) ref[{e.src, e.dst}] += e.weight;
+  for (auto it = inter.rbegin(); it != inter.rend(); ++it) reversed[{it->src, it->dst}] += it->weight;
+  for (CommunityId c = 0; c < next; ++c) {
+    const Weight loop = intra[static_cast<std::size_t>(c)] / 2 + self[static_cast<std::size_t>(c)];
+    if (loop > 0) {
+      ref[{c, c}] = loop;
+      reversed[{c, c}] = loop;
+    }
+  }
+  ASSERT_FALSE(same_bits(ref, reversed));
+
+  const auto result = dlouvain::louvain::coarsen(g, community);
+  ASSERT_EQ(result.num_meta_vertices, next);
+  for (VertexId v = 0; v < n; ++v)
+    EXPECT_EQ(result.old_to_new[static_cast<std::size_t>(v)],
+              meta.at(community[static_cast<std::size_t>(v)]));
+  expect_rows_match(result.graph, 0, ref);
 }
 
 TEST(Partition, EvenVerticesSpreadsRemainder) {

@@ -132,39 +132,6 @@ TEST(ParallelReduce, BitwiseIdenticalAcrossThreadCounts) {
 }
 
 // ---------------------------------------------------------------------------
-// stable_sort_parallel
-
-TEST(StableSortParallel, MatchesStdStableSort) {
-  // Key/tag pairs with heavy key duplication: any instability or
-  // thread-dependent merge order shows up as a tag permutation.
-  struct Item {
-    int key;
-    int tag;
-    bool operator==(const Item&) const = default;
-  };
-  std::uint64_t state = 12345;
-  const auto next = [&state] {
-    state = state * 6364136223846793005ULL + 1442695040888963407ULL;
-    return static_cast<int>(state >> 33);
-  };
-  for (const std::size_t n : {0ul, 1ul, 2ul, 100ul, 127ul, 128ul, 5000ul}) {
-    std::vector<Item> input(n);
-    for (std::size_t i = 0; i < n; ++i)
-      input[i] = Item{next() % 17, static_cast<int>(i)};
-    auto expect = input;
-    std::stable_sort(expect.begin(), expect.end(),
-                     [](const Item& a, const Item& b) { return a.key < b.key; });
-    for (const int threads : {1, 2, 4}) {
-      util::ThreadPool pool(threads);
-      auto got = input;
-      util::stable_sort_parallel(&pool, got,
-                                 [](const Item& a, const Item& b) { return a.key < b.key; });
-      EXPECT_EQ(got, expect) << "threads=" << threads << " n=" << n;
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
 // parse_variant
 
 TEST(ParseVariant, AcceptsTheCliTokens) {
