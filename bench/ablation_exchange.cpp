@@ -46,7 +46,7 @@ int main(int argc, char** argv) {
         auto dist = graph::DistGraph::from_replicated(comm, csr);
         const auto total = comm.allreduce_sum<std::int64_t>(
             static_cast<std::int64_t>(dist.neighbor_ranks().size()));
-        auto result = core::dist_louvain(comm, std::move(dist), core::DistConfig{});
+        auto result = core::dist_louvain(comm, dist, core::DistConfig{});
         if (comm.is_root()) {
           sparse = total;
           ghost_bytes = result.counters[util::Counter::kGhostBytesDelta];

@@ -445,7 +445,7 @@ int run_pr3(const std::string& json_path, int scale, int reps, int dist_scale) {
   comm::run(4, [&](comm::Comm& comm) {
     auto dist = graph::DistGraph::from_replicated(comm, csrd);
     core::DistConfig cfg;
-    auto result = core::dist_louvain(comm, std::move(dist), cfg);
+    auto result = core::dist_louvain(comm, dist, cfg);
     if (comm.is_root()) {
       breakdown = result.breakdown;
       dist_seconds = result.seconds;

@@ -43,7 +43,7 @@ int main(int argc, char** argv) {
   core::DistResult result;
   comm::run(ranks, [&](comm::Comm& comm) {
     auto dist = graph::load_distributed(comm, path);
-    auto r = core::dist_louvain(comm, std::move(dist), core::DistConfig::etc(0.25));
+    auto r = core::dist_louvain(comm, dist, core::DistConfig::etc(0.25));
     if (comm.is_root()) result = std::move(r);
   });
 

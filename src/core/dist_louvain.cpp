@@ -650,7 +650,7 @@ double load_imbalance(std::span<const double> loads) {
   return std::max(1.0, max / (sum / static_cast<double>(loads.size())));
 }
 
-DistResult dist_louvain(comm::Comm& comm, graph::DistGraph graph, const DistConfig& cfg,
+DistResult dist_louvain(comm::Comm& comm, const graph::DistGraph& fine, const DistConfig& cfg,
                         std::atomic<int>* phase_progress, const WarmStart* warm) {
   util::WallTimer total_timer;
   // This rank's counter block and its entry snapshot: everything this run
@@ -666,18 +666,24 @@ DistResult dist_louvain(comm::Comm& comm, graph::DistGraph graph, const DistConf
   util::ThreadPool pool(cfg.threads_per_rank);
 
   if (warm != nullptr &&
-      (warm->seed_community.size() != static_cast<std::size_t>(graph.local_count()) ||
+      (warm->seed_community.size() != static_cast<std::size_t>(fine.local_count()) ||
        warm->reactivated.size() != warm->seed_community.size()))
     throw std::invalid_argument(
         "dist_louvain: WarmStart arrays must cover the rank's owned vertices");
 
   DistResult result;
 
+  // The graph the current phase runs on: the caller's fine graph until a
+  // checkpoint resume or a rebuild replaces it with a coarse one, which
+  // this run owns.
+  graph::DistGraph coarse;
+  const graph::DistGraph* graph = &fine;
+
   // original-vertex -> current-meta-vertex chain, held by the ORIGINAL
   // owner of each vertex (the original partition never changes).
-  std::vector<VertexId> orig_to_cur(static_cast<std::size_t>(graph.local_count()));
-  std::iota(orig_to_cur.begin(), orig_to_cur.end(), graph.v_begin());
-  VertexId orig_global_n = graph.global_n();
+  std::vector<VertexId> orig_to_cur(static_cast<std::size_t>(graph->local_count()));
+  std::iota(orig_to_cur.begin(), orig_to_cur.end(), graph->v_begin());
+  VertexId orig_global_n = graph->global_n();
 
   const std::uint64_t fingerprint =
       cfg.checkpoint.dir.empty() ? 0 : config_fingerprint(cfg);
@@ -690,7 +696,8 @@ DistResult dist_louvain(comm::Comm& comm, graph::DistGraph graph, const DistConf
   if (cfg.checkpoint.resume && !cfg.checkpoint.dir.empty()) {
     const util::TraceSpan span(tb, "checkpoint_load", "checkpoint");
     if (auto loaded = checkpoint_load(comm, cfg.checkpoint.dir, fingerprint)) {
-      graph = std::move(loaded->graph);
+      coarse = std::move(loaded->graph);
+      graph = &coarse;
       orig_to_cur = std::move(loaded->orig_to_cur);
       orig_global_n = loaded->orig_global_n;
       start_phase = loaded->state.next_phase;
@@ -716,15 +723,15 @@ DistResult dist_louvain(comm::Comm& comm, graph::DistGraph graph, const DistConf
     // the exact outer-loop watermark instead.
     Weight degree_term = 0;
     Weight intra = 0;
-    for (VertexId lv = 0; lv < graph.local_count(); ++lv) {
-      const VertexId gv = graph.to_global(lv);
-      const Weight k = graph.weighted_degree(gv);
+    for (VertexId lv = 0; lv < graph->local_count(); ++lv) {
+      const VertexId gv = graph->to_global(lv);
+      const Weight k = graph->weighted_degree(gv);
       degree_term += k * k;
-      for (const auto& e : graph.local().neighbors(lv))
+      for (const auto& e : graph->local().neighbors(lv))
         if (e.dst == gv) intra += 2 * e.weight;
     }
     const auto sums = comm.allreduce_sum_vec<Weight>({intra, degree_term});
-    const Weight two_m = graph.total_weight();
+    const Weight two_m = graph->total_weight();
     prev_outer_mod = two_m > 0 ? sums[0] / two_m -
                                      cfg.base.resolution * sums[1] / (two_m * two_m)
                                : 0.0;
@@ -773,7 +780,7 @@ DistResult dist_louvain(comm::Comm& comm, graph::DistGraph graph, const DistConf
       st.counters.seconds = result.restored.seconds + total_timer.seconds();
       st.counters.messages = result.restored.messages + sums[0];
       st.counters.bytes = result.restored.bytes + sums[1];
-      checkpoint_save(comm, cfg.checkpoint.dir, graph, orig_to_cur, orig_global_n, st,
+      checkpoint_save(comm, cfg.checkpoint.dir, *graph, orig_to_cur, orig_global_n, st,
                       fingerprint);
     }
 
@@ -785,7 +792,7 @@ DistResult dist_louvain(comm::Comm& comm, graph::DistGraph graph, const DistConf
     // A checkpoint resume supplies its own (coarsened) state instead, and
     // every later phase runs on a graph the seed's indices no longer match.
     const WarmStart* phase_warm = (phase == 0 && !resumed) ? warm : nullptr;
-    auto phase_state = run_phase(comm, graph, cfg, phase, tau, pool, timers,
+    auto phase_state = run_phase(comm, *graph, cfg, phase, tau, pool, timers,
                                  telemetry, phase_warm);
 
     // The exit decision depends only on collectively-identical modularities,
@@ -813,7 +820,7 @@ DistResult dist_louvain(comm::Comm& comm, graph::DistGraph graph, const DistConf
     // the final phase's moves are reflected in the output mapping.
     util::WallTimer rebuild_timer;
     const util::TraceSpan rebuild_span(tb, "rebuild", "collective", phase);
-    auto next = rebuild(comm, graph, phase_state.owned_community, phase_state.ghosts,
+    auto next = rebuild(comm, *graph, phase_state.owned_community, phase_state.ghosts,
                         phase_state.ledger, &pool, /*build_graph=*/!renumber_only);
 
     // Route each original vertex's current id to the rank owning it in the
@@ -822,20 +829,20 @@ DistResult dist_louvain(comm::Comm& comm, graph::DistGraph graph, const DistConf
       const int p = comm.size();
       std::vector<std::vector<VertexId>> requests(static_cast<std::size_t>(p));
       for (const VertexId cur : orig_to_cur)
-        requests[static_cast<std::size_t>(graph.owner(cur))].push_back(cur);
+        requests[static_cast<std::size_t>(graph->owner(cur))].push_back(cur);
       const auto incoming = comm.alltoallv<VertexId>(requests);
       std::vector<std::vector<VertexId>> replies(static_cast<std::size_t>(p));
       for (int r = 0; r < p; ++r) {
         replies[static_cast<std::size_t>(r)].reserve(incoming[static_cast<std::size_t>(r)].size());
         for (const VertexId cur : incoming[static_cast<std::size_t>(r)])
           replies[static_cast<std::size_t>(r)].push_back(
-              next.new_vertex_of_current[static_cast<std::size_t>(graph.to_local(cur))]);
+              next.new_vertex_of_current[static_cast<std::size_t>(graph->to_local(cur))]);
       }
       const auto answers = comm.alltoallv<VertexId>(std::move(replies));
       // Answers arrive per rank in the same order we asked; walk both.
       std::vector<std::size_t> cursor(static_cast<std::size_t>(p), 0);
       for (auto& cur : orig_to_cur) {
-        const auto owner = static_cast<std::size_t>(graph.owner(cur));
+        const auto owner = static_cast<std::size_t>(graph->owner(cur));
         cur = answers[owner][cursor[owner]++];
       }
     }
@@ -857,7 +864,7 @@ DistResult dist_louvain(comm::Comm& comm, graph::DistGraph graph, const DistConf
         double seconds;
       };
       const auto samples = comm.allgather(LoadSample{
-          static_cast<double>(graph.local().num_arcs()),
+          static_cast<double>(graph->local().num_arcs()),
           telemetry.breakdown.compute + telemetry.breakdown.rebuild});
       std::vector<double> arcs(samples.size());
       std::vector<double> walls(samples.size());
@@ -893,7 +900,8 @@ DistResult dist_louvain(comm::Comm& comm, graph::DistGraph graph, const DistConf
       warm_exit = true;
       break;
     }
-    graph = std::move(next.graph);
+    coarse = std::move(next.graph);
+    graph = &coarse;
 
     if (gain <= tau) {
       if (cfg.uses_cycling() && tau > tau_min && !forced_final) {
@@ -915,15 +923,15 @@ DistResult dist_louvain(comm::Comm& comm, graph::DistGraph graph, const DistConf
   } else {
     Weight intra = 0;
     Weight degree_term = 0;
-    for (VertexId lv = 0; lv < graph.local_count(); ++lv) {
-      const VertexId gv = graph.to_global(lv);
-      const Weight k = graph.weighted_degree(gv);
+    for (VertexId lv = 0; lv < graph->local_count(); ++lv) {
+      const VertexId gv = graph->to_global(lv);
+      const Weight k = graph->weighted_degree(gv);
       degree_term += k * k;
-      for (const auto& e : graph.local().neighbors(lv))
+      for (const auto& e : graph->local().neighbors(lv))
         if (e.dst == gv) intra += 2 * e.weight;
     }
     const auto sums = comm.allreduce_sum_vec<Weight>({intra, degree_term});
-    const Weight two_m = graph.total_weight();
+    const Weight two_m = graph->total_weight();
     result.modularity = two_m > 0 ? sums[0] / two_m -
                                         cfg.base.resolution * sums[1] / (two_m * two_m)
                                   : 0.0;
@@ -933,7 +941,7 @@ DistResult dist_louvain(comm::Comm& comm, graph::DistGraph graph, const DistConf
   // concatenate in rank order to the full array.
   result.community = comm.allgatherv<CommunityId>(
       std::vector<CommunityId>(orig_to_cur.begin(), orig_to_cur.end()));
-  result.num_communities = warm_exit ? warm_exit_communities : graph.global_n();
+  result.num_communities = warm_exit ? warm_exit_communities : graph->global_n();
   result.seconds = result.restored.seconds + total_timer.seconds();
 
   // Global executed-portion counter totals, identical on every rank: sum the
@@ -967,7 +975,7 @@ DistResult dist_louvain_inprocess(int nranks, const graph::Csr& global,
       nranks,
       [&](comm::Comm& comm) {
         auto dist = graph::DistGraph::from_replicated(comm, global, kind);
-        auto local_result = dist_louvain(comm, std::move(dist), cfg, phase_progress);
+        auto local_result = dist_louvain(comm, dist, cfg, phase_progress);
         if (comm.rank() == 0) result = std::move(local_result);
       },
       options);

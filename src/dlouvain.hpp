@@ -82,8 +82,9 @@ class PlanError : public std::invalid_argument {
 /// longer exists). Thrown by Session::update()/result() on every call after
 /// the poisoning failure; the message names the original cause. Re-open the
 /// plan on the current graph to continue. Transient failures (a CommFailure
-/// that exhausted max_restarts) do NOT poison: updates mutate copies and
-/// commit only on success, so the session recovers cleanly on the next call.
+/// that exhausted max_restarts) do NOT poison: updates build the post-batch
+/// graphs beside the resident ones and swap them in only on success, so the
+/// session recovers cleanly on the next call.
 class SessionPoisoned : public std::runtime_error {
  public:
   explicit SessionPoisoned(const std::string& what) : std::runtime_error(what) {}
@@ -408,8 +409,9 @@ class Plan {
 
 /// A resident clustering over one evolving graph: Plan::open(g) converges
 /// from scratch and keeps the per-rank partitioned graphs and the converged
-/// assignment in memory; each update(batch) mutates the graph in place and
-/// re-converges warm -- only batch-touched vertices and their
+/// assignment in memory; each update(batch) derives the post-batch graph
+/// from the resident one (touched rows merged, ghost state patched from the
+/// batch) and re-converges warm -- only batch-touched vertices and their
 /// neighbourhoods move, the rest of the assignment is frozen -- falling
 /// back to a full recompute when modularity drifts past
 /// Plan::update_fallback. result() always reflects the CURRENT graph and
@@ -443,7 +445,8 @@ class Session {
   ///
   /// Failure lifecycle: a transient CommFailure that exhausts
   /// Plan::max_restarts propagates, but leaves the session on its pre-batch
-  /// state (updates mutate per-rank copies and commit only on success) --
+  /// state (updates build the post-batch graphs beside the resident ones
+  /// and swap them in only on success) --
   /// the next update() starts clean with a fresh restart budget. A RankDead
   /// verdict instead POISONS the session (the world lost a rank for good;
   /// retrying at the old size can only re-fail): the original exception
@@ -488,7 +491,7 @@ class Session {
   /// by every rung-3 shrink. Updates run at this size too.
   int active_ranks_{0};
   /// Distributed engine: each rank's slice of the CURRENT fine graph,
-  /// mutated in place by update(); index = rank (re-sized on shrink).
+  /// replaced by update() on success; index = rank (re-sized on shrink).
   std::vector<graph::DistGraph> rank_graphs_;
   /// Serial/shared engines: the current graph, rebuilt per update.
   graph::Csr csr_;

@@ -1,6 +1,8 @@
 #include "graph/dist_graph.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <iterator>
 #include <map>
 #include <stdexcept>
 #include <utility>
@@ -84,9 +86,8 @@ DistGraph DistGraph::from_replicated(comm::Comm& comm, const Csr& global,
   return build(comm, part, std::move(arcs), /*symmetrize=*/false);
 }
 
-void DistGraph::apply_edge_changes(comm::Comm& comm,
-                                   std::span<const EdgeChange> changes,
-                                   util::ThreadPool* pool) {
+DistGraph DistGraph::apply_edge_changes(comm::Comm& comm,
+                                        std::span<const EdgeChange> changes) const {
   const VertexId n = part_.num_vertices();
 
   // Validate the batch shape locally; the list is replicated, so every rank
@@ -102,16 +103,16 @@ void DistGraph::apply_edge_changes(comm::Comm& comm,
 
   // A batch of k edges must not cost a full rebuild of |arcs| -- shipping
   // and re-sorting every arc through build() dominates Session::update on
-  // any real graph. Instead, splice only the touched CSR rows in place.
-  // Rows are coalesced and dst-sorted by construction (build() assembles
-  // them with build_rows; this function preserves both invariants), so each
-  // touched row is a small sorted merge.
+  // any real graph. Instead, merge only the touched CSR rows and splice
+  // them into a copy of the others. Rows are coalesced and dst-sorted by
+  // construction (build() assembles them with build_rows; this function
+  // preserves both invariants), so each touched row is a small sorted merge.
   //
   // Removals resolve against the pre-batch arc set, directions owned here.
   // Because rows are coalesced, each (src, dst) appears at most once: a
   // batch naming the same edge twice can match at most one arc, and the
   // excess is a batch error -- detected locally, agreed globally so every
-  // rank throws (or none does), before anything is mutated.
+  // rank throws (or none does), before anything is built.
   std::map<VertexId, std::vector<std::pair<VertexId, Weight>>> row_adds;
   std::map<VertexId, std::vector<VertexId>> row_removes;
   std::int64_t missing = 0;
@@ -173,52 +174,174 @@ void DistGraph::apply_edge_changes(comm::Comm& comm,
     }
   }
 
-  // Splice: new offsets (old lengths adjusted for touched rows), then one
-  // O(arcs) copy -- untouched rows verbatim, touched rows from their merge.
   const VertexId local_n = local_count();
-  const auto& old_offsets = local_.offsets();
-  const auto& old_half = local_.edges();
-  std::vector<EdgeId> offsets(static_cast<std::size_t>(local_n) + 1, 0);
-  for (VertexId lv = 0; lv < local_n; ++lv) {
-    const auto it = new_rows.find(lv);
-    const auto len = it != new_rows.end()
-                         ? static_cast<EdgeId>(it->second.size())
-                         : old_offsets[static_cast<std::size_t>(lv) + 1] -
-                               old_offsets[static_cast<std::size_t>(lv)];
-    offsets[static_cast<std::size_t>(lv) + 1] = offsets[static_cast<std::size_t>(lv)] + len;
-  }
-  std::vector<HalfEdge> half(static_cast<std::size_t>(offsets.back()));
-  util::parallel_for(pool, local_n, [&](int, std::int64_t begin, std::int64_t end) {
-    for (VertexId lv = begin; lv < end; ++lv) {
-      const auto out = half.begin() + static_cast<std::ptrdiff_t>(offsets[static_cast<std::size_t>(lv)]);
-      const auto it = new_rows.find(lv);
-      if (it != new_rows.end()) {
-        std::copy(it->second.begin(), it->second.end(), out);
+  const auto nl = static_cast<std::int64_t>(local_n);
+
+  // Remote destinations a touched row gained or lost, from one walk over
+  // its old and new (both dst-sorted) arc lists. Each one moves its ghost's
+  // local arc count by +-1 and may flip the row's membership in the
+  // mirror list of the destination's owner.
+  std::map<VertexId, std::int64_t> ghost_delta;
+  std::vector<std::pair<VertexId, Rank>> mirror_checks;  // (row, owner) to re-derive
+  for (const auto& [lv, merged] : new_rows) {
+    const auto old_row = local_.neighbors(lv);
+    const auto note = [&](VertexId dst, std::int64_t d) {
+      if (owns(dst)) return;
+      ghost_delta[dst] += d;
+      mirror_checks.emplace_back(lv, owner(dst));
+    };
+    std::size_t i = 0;
+    std::size_t j = 0;
+    while (i < old_row.size() || j < merged.size()) {
+      if (j == merged.size() || (i < old_row.size() && old_row[i].dst < merged[j].dst)) {
+        note(old_row[i++].dst, -1);
+      } else if (i == old_row.size() || merged[j].dst < old_row[i].dst) {
+        note(merged[j++].dst, +1);
       } else {
-        std::copy(old_half.begin() + static_cast<std::ptrdiff_t>(old_offsets[static_cast<std::size_t>(lv)]),
-                  old_half.begin() + static_cast<std::ptrdiff_t>(old_offsets[static_cast<std::size_t>(lv) + 1]),
-                  out);
+        ++i;
+        ++j;
       }
     }
-  });
-  local_ = Csr(local_n, std::move(offsets), std::move(half));
+  }
 
-  // Re-derive weighted degrees for touched rows only; totals by allreduce,
-  // summed serially in local-index order exactly as build() does.
+  DistGraph g;
+  g.rank_ = rank_;
+  g.part_ = part_;
+
+  // Ghosts: counts move by the deltas; a ghost whose count reaches zero
+  // retires, a destination that is not yet a ghost joins in sorted
+  // position. When the set changes, remap[old slot] is the ghost's new slot
+  // (-1 once retired), used to re-base the copied dst slots below.
+  std::vector<std::pair<VertexId, std::int64_t>> joined;  // (ghost, arcs)
+  std::vector<std::int64_t> retired;                        // old slots
+  g.ghost_arcs_ = ghost_arcs_;
+  for (const auto& [dst, d] : ghost_delta) {
+    if (d == 0) continue;
+    const std::int64_t slot = ghost_slot(dst);
+    if (slot < 0) {
+      joined.emplace_back(dst, d);  // a new ghost can only gain arcs
+    } else if ((g.ghost_arcs_[static_cast<std::size_t>(slot)] += d) == 0) {
+      retired.push_back(slot);
+    }
+  }
+  std::vector<std::int64_t> remap;
+  if (joined.empty() && retired.empty()) {
+    g.ghosts_ = ghosts_;
+    g.ghosts_by_owner_ = ghosts_by_owner_;
+  } else {
+    remap.resize(ghosts_.size());
+    g.ghosts_.reserve(ghosts_.size() + joined.size());
+    std::vector<VertexId> counts;
+    counts.reserve(ghosts_.size() + joined.size());
+    std::size_t k = 0;  // next joined ghost
+    std::size_t x = 0;  // next retired slot
+    for (std::size_t s = 0; s <= ghosts_.size(); ++s) {
+      const VertexId id = s < ghosts_.size() ? ghosts_[s] : n;
+      for (; k < joined.size() && joined[k].first < id; ++k) {
+        g.ghosts_.push_back(joined[k].first);
+        counts.push_back(joined[k].second);
+      }
+      if (s == ghosts_.size()) break;
+      if (x < retired.size() && retired[x] == static_cast<std::int64_t>(s)) {
+        ++x;
+        remap[s] = -1;
+        continue;
+      }
+      remap[s] = static_cast<std::int64_t>(g.ghosts_.size());
+      g.ghosts_.push_back(id);
+      counts.push_back(g.ghost_arcs_[s]);
+    }
+    g.ghost_arcs_ = std::move(counts);
+    g.split_ghosts_by_owner();
+  }
+
+  // Mirrors, patched by the owner alone: the graph is symmetric, so rank r
+  // ghosts my vertex v iff v's row has an arc into r's vertex range.
+  g.mirrors_ = mirrors_;
+  std::sort(mirror_checks.begin(), mirror_checks.end());
+  mirror_checks.erase(std::unique(mirror_checks.begin(), mirror_checks.end()),
+                      mirror_checks.end());
+  for (const auto& [lv, r] : mirror_checks) {
+    const auto& row = new_rows.at(lv);
+    const auto it = std::lower_bound(
+        row.begin(), row.end(), part_.begin(r),
+        [](const HalfEdge& e, VertexId d) { return e.dst < d; });
+    const bool ghosted = it != row.end() && it->dst < part_.end(r);
+    auto& list = g.mirrors_[static_cast<std::size_t>(r)];
+    const VertexId gv = to_global(lv);
+    const auto pos = std::lower_bound(list.begin(), list.end(), gv);
+    const bool listed = pos != list.end() && *pos == gv;
+    if (ghosted && !listed) list.insert(pos, gv);
+    if (!ghosted && listed) list.erase(pos);
+  }
+  g.derive_neighbor_ranks();
+
+  // Splice: one sequential pass over the rows. Runs of untouched rows are
+  // copied as blocks (arcs verbatim, offsets and dst slots re-based);
+  // touched rows come from their merge with freshly resolved slots.
+  const auto& old_offsets = local_.offsets();
+  const auto& old_half = local_.edges();
+  EdgeId new_arcs = local_.num_arcs();
+  for (const auto& [lv, merged] : new_rows)
+    new_arcs += static_cast<EdgeId>(merged.size()) - local_.degree(lv);
+  std::vector<EdgeId> offsets(static_cast<std::size_t>(local_n) + 1);
+  std::vector<HalfEdge> half;
+  half.reserve(static_cast<std::size_t>(new_arcs));
+  g.dst_slots_.reserve(static_cast<std::size_t>(new_arcs));
+  EdgeId shift = 0;  // new offset - old offset of the rows being copied
+  const auto copy_rows = [&](VertexId from, VertexId to) {
+    for (VertexId lv = from; lv < to; ++lv)
+      offsets[static_cast<std::size_t>(lv)] = old_offsets[static_cast<std::size_t>(lv)] + shift;
+    const auto lo = static_cast<std::ptrdiff_t>(old_offsets[static_cast<std::size_t>(from)]);
+    const auto hi = static_cast<std::ptrdiff_t>(old_offsets[static_cast<std::size_t>(to)]);
+    half.insert(half.end(), old_half.begin() + lo, old_half.begin() + hi);
+    const auto first = dst_slots_.begin() + lo;
+    const auto last = dst_slots_.begin() + hi;
+    if (remap.empty()) {
+      g.dst_slots_.insert(g.dst_slots_.end(), first, last);
+    } else {
+      std::transform(first, last, std::back_inserter(g.dst_slots_), [&](std::int64_t s) {
+        return s < nl ? s : nl + remap[static_cast<std::size_t>(s - nl)];
+      });
+    }
+  };
+  VertexId next = 0;
+  for (const auto& [lv, merged] : new_rows) {
+    copy_rows(next, lv);
+    offsets[static_cast<std::size_t>(lv)] = old_offsets[static_cast<std::size_t>(lv)] + shift;
+    half.insert(half.end(), merged.begin(), merged.end());
+    for (const auto& e : merged)
+      g.dst_slots_.push_back(owns(e.dst) ? to_local(e.dst) : nl + g.ghost_slot(e.dst));
+    shift += static_cast<EdgeId>(merged.size()) - local_.degree(lv);
+    next = lv + 1;
+  }
+  copy_rows(next, local_n);
+  offsets[static_cast<std::size_t>(local_n)] = new_arcs;
+  g.local_ = Csr(local_n, std::move(offsets), std::move(half));
+
+  // Degrees and boundary flags change on touched rows only. The totals are
+  // summed serially in local-index order exactly as build() does, so they
+  // come out bit for bit the same.
+  g.degrees_ = degrees_;
+  g.boundary_flags_ = boundary_flags_;
+  g.boundary_count_ = boundary_count_;
   for (const auto& [lv, merged] : new_rows) {
     const VertexId gv = to_global(lv);
     Weight k = 0;
-    for (const auto& e : merged) k += e.dst == gv ? 2 * e.weight : e.weight;
-    degrees_[static_cast<std::size_t>(lv)] = k;
+    char boundary = 0;
+    for (const auto& e : merged) {
+      k += e.dst == gv ? 2 * e.weight : e.weight;
+      boundary |= owns(e.dst) ? 0 : 1;
+    }
+    g.degrees_[static_cast<std::size_t>(lv)] = k;
+    g.boundary_count_ += boundary - g.boundary_flags_[static_cast<std::size_t>(lv)];
+    g.boundary_flags_[static_cast<std::size_t>(lv)] = boundary;
   }
   Weight local_weight = 0;
-  for (const Weight k : degrees_) local_weight += k;
-  total_weight_ = comm.allreduce_sum(local_weight);
-  global_arcs_ = comm.allreduce_sum(local_.num_arcs());
-
-  // Ghosts, mirrors, dst slots, boundary flags, neighbour topology: the
-  // collective part that genuinely needs redoing.
-  discover_ghosts(comm);
+  for (const Weight k : g.degrees_) local_weight += k;
+  g.total_weight_ = comm.allreduce_sum(local_weight);
+  g.global_arcs_ = comm.allreduce_sum(g.local_.num_arcs());
+  return g;
 }
 
 void DistGraph::validate(comm::Comm& comm) const {
@@ -234,8 +357,10 @@ void DistGraph::validate(comm::Comm& comm) const {
   }
 
   // 2. Reverse-arc check: ship every cross-rank arc to its destination's
-  // owner, which verifies a matching reverse arc exists locally.
-  if (local_error.empty()) {
+  // owner, which verifies a matching reverse arc exists locally. Every rank
+  // joins the exchange even after finding an error of its own: a rank that
+  // skipped it would leave its peers blocked in the collective.
+  {
     std::vector<std::vector<Edge>> outbox(static_cast<std::size_t>(p));
     for (VertexId lv = 0; lv < local_count(); ++lv) {
       const VertexId gv = to_global(lv);
@@ -246,6 +371,7 @@ void DistGraph::validate(comm::Comm& comm) const {
     }
     const auto inbox = comm.alltoallv<Edge>(std::move(outbox));
     for (const auto& from_rank : inbox) {
+      if (!local_error.empty()) break;
       for (const Edge& arc : from_rank) {
         // arc.src -> arc.dst exists remotely; we own arc.dst and must hold
         // the reverse with equal weight.
@@ -262,7 +388,6 @@ void DistGraph::validate(comm::Comm& comm) const {
           break;
         }
       }
-      if (!local_error.empty()) break;
     }
   }
 
@@ -282,57 +407,95 @@ void DistGraph::validate(comm::Comm& comm) const {
   }
 }
 
+void DistGraph::split_ghosts_by_owner() {
+  // Owner intervals are contiguous in id space, so each owner's ghosts are
+  // a run of the sorted list.
+  ghosts_by_owner_.assign(static_cast<std::size_t>(part_.num_ranks()), {});
+  for (int r = 0; r < part_.num_ranks(); ++r) {
+    const auto lo = std::lower_bound(ghosts_.begin(), ghosts_.end(), part_.begin(r));
+    const auto hi = std::lower_bound(lo, ghosts_.end(), part_.end(r));
+    ghosts_by_owner_[static_cast<std::size_t>(r)].assign(lo, hi);
+  }
+}
+
+void DistGraph::derive_neighbor_ranks() {
+  neighbor_ranks_.clear();
+  for (int r = 0; r < part_.num_ranks(); ++r) {
+    if (r == rank_) continue;
+    if (!ghosts_by_owner_[static_cast<std::size_t>(r)].empty() ||
+        !mirrors_[static_cast<std::size_t>(r)].empty())
+      neighbor_ranks_.push_back(static_cast<Rank>(r));
+  }
+}
+
 void DistGraph::discover_ghosts(comm::Comm& comm) {
-  const int p = comm.size();
-
   // Paper Algorithm 4 (ExchangeGhostVertices): scan local edge lists for
-  // remote endpoints, bucket them by owner...
-  ghosts_by_owner_.assign(static_cast<std::size_t>(p), {});
-  for (const auto& e : local_.edges()) {
-    if (!owns(e.dst)) ghosts_by_owner_[static_cast<std::size_t>(part_.owner(e.dst))].push_back(e.dst);
-  }
-  ghosts_.clear();
-  ghost_index_.clear();
-  for (auto& bucket : ghosts_by_owner_) {
-    std::sort(bucket.begin(), bucket.end());
-    bucket.erase(std::unique(bucket.begin(), bucket.end()), bucket.end());
-    ghosts_.insert(ghosts_.end(), bucket.begin(), bucket.end());
-  }
-  // Buckets are owner-ordered and internally sorted, and owner intervals are
-  // contiguous in id space, so the concatenation is globally sorted.
-  ghost_index_.reserve(ghosts_.size());
-  for (std::size_t i = 0; i < ghosts_.size(); ++i) ghost_index_[ghosts_[i]] = i;
-
-  // One-time arc -> slot translation: local row index for owned
-  // destinations, local_count() + ghost slot for remote ones. Every
-  // per-iteration O(arcs) loop indexes through this instead of hashing.
-  dst_slots_.resize(local_.edges().size());
-  for (std::size_t a = 0; a < local_.edges().size(); ++a) {
-    const VertexId dst = local_.edges()[a].dst;
-    dst_slots_[a] = owns(dst)
-                        ? static_cast<std::int64_t>(to_local(dst))
-                        : static_cast<std::int64_t>(local_count()) +
-                              static_cast<std::int64_t>(ghost_index_.at(dst));
-  }
-
-  // Interior/boundary split (ISSUE 5): a vertex whose row references no
+  // remote endpoints... The same pass resolves owned destinations to their
+  // row and flags boundary rows: a vertex whose row references no
   // ghost slot can decide its move from purely rank-local state, so the
-  // sweep may process it while a ghost exchange is still in flight. Derived
-  // from dst_slots_, so it costs one extra O(arcs) pass at build time.
+  // sweep may process it while a ghost exchange is still in flight.
+  const auto nl = static_cast<std::int64_t>(local_count());
+  const auto& offsets = local_.offsets();
+  const auto& arcs = local_.edges();
+  dst_slots_.resize(arcs.size());
   boundary_flags_.assign(static_cast<std::size_t>(local_count()), 0);
   boundary_count_ = 0;
-  const auto& offsets = local_.offsets();
+  struct RemoteArc {
+    VertexId dst;
+    std::size_t arc;
+  };
+  std::vector<RemoteArc> remote;
   for (VertexId lv = 0; lv < local_count(); ++lv) {
-    const auto lo = static_cast<std::size_t>(offsets[static_cast<std::size_t>(lv)]);
-    const auto hi = static_cast<std::size_t>(offsets[static_cast<std::size_t>(lv) + 1]);
-    for (std::size_t a = lo; a < hi; ++a) {
-      if (dst_slots_[a] >= static_cast<std::int64_t>(local_count())) {
+    for (auto a = static_cast<std::size_t>(offsets[static_cast<std::size_t>(lv)]);
+         a < static_cast<std::size_t>(offsets[static_cast<std::size_t>(lv) + 1]); ++a) {
+      const VertexId dst = arcs[a].dst;
+      if (owns(dst)) {
+        dst_slots_[a] = static_cast<std::int64_t>(to_local(dst));
+      } else {
+        remote.push_back({dst, a});
         boundary_flags_[static_cast<std::size_t>(lv)] = 1;
-        ++boundary_count_;
-        break;
       }
     }
+    boundary_count_ += boundary_flags_[static_cast<std::size_t>(lv)];
   }
+
+  // ...sort them by destination: an LSD radix sort over the bits of n - 1,
+  // 11 bits a pass, so two passes up to 4M vertices and no comparison sort
+  // or per-arc search...
+  constexpr int kDigitBits = 11;
+  constexpr std::size_t kDigits = std::size_t{1} << kDigitBits;
+  const int key_bits =
+      std::bit_width(static_cast<std::uint64_t>(std::max<VertexId>(part_.num_vertices() - 1, 0)));
+  std::vector<RemoteArc> sorted(remote.size());
+  for (int shift = 0; shift < key_bits; shift += kDigitBits) {
+    std::vector<std::size_t> start(kDigits + 1, 0);
+    const auto digit = [&](const RemoteArc& r) {
+      return (static_cast<std::uint64_t>(r.dst) >> shift) & (kDigits - 1);
+    };
+    for (const auto& r : remote) ++start[digit(r) + 1];
+    for (std::size_t d = 0; d < kDigits; ++d) start[d + 1] += start[d];
+    for (const auto& r : remote) sorted[start[digit(r)]++] = r;
+    remote.swap(sorted);
+  }
+
+  // ...and number each run of equal destinations: the ghost's slot, and its
+  // arc count (rows are coalesced, so that is its number of referencing
+  // rows -- what apply_edge_changes retires ghosts by). One-time arc ->
+  // slot translation: local row index for owned destinations,
+  // local_count() + ghost slot for remote ones. Every per-iteration O(arcs)
+  // loop indexes through dst_slots_ instead of searching.
+  ghosts_.clear();
+  ghost_arcs_.clear();
+  for (std::size_t i = 0; i < remote.size();) {
+    const auto slot = nl + static_cast<std::int64_t>(ghosts_.size());
+    std::size_t j = i;
+    for (; j < remote.size() && remote[j].dst == remote[i].dst; ++j)
+      dst_slots_[remote[j].arc] = slot;
+    ghosts_.push_back(remote[i].dst);
+    ghost_arcs_.push_back(static_cast<VertexId>(j - i));
+    i = j;
+  }
+  split_ghosts_by_owner();
 
   // ...then tell each owner which of its vertices we ghost, so owners know
   // their send lists (mirrors) for the per-iteration community updates.
@@ -341,13 +504,7 @@ void DistGraph::discover_ghosts(comm::Comm& comm) {
   // Static exchange topology: peers we either ghost from or mirror to. For
   // a symmetric graph the two imply each other, so the adjacency is
   // symmetric world-wide -- the prerequisite for neighbor_alltoallv.
-  neighbor_ranks_.clear();
-  for (int r = 0; r < p; ++r) {
-    if (r == comm.rank()) continue;
-    if (!ghosts_by_owner_[static_cast<std::size_t>(r)].empty() ||
-        !mirrors_[static_cast<std::size_t>(r)].empty())
-      neighbor_ranks_.push_back(static_cast<Rank>(r));
-  }
+  derive_neighbor_ranks();
 }
 
 }  // namespace dlouvain::graph

@@ -8,8 +8,8 @@
 // each rank also knows which of its own vertices are ghosted where.
 #pragma once
 
+#include <algorithm>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "comm/comm.hpp"
@@ -68,17 +68,18 @@ class DistGraph {
   /// Sorted unique global ids of remote vertices referenced by local edges.
   [[nodiscard]] const std::vector<VertexId>& ghosts() const noexcept { return ghosts_; }
 
-  /// Index of a ghost in ghosts(), or -1 if gv is not a ghost here.
+  /// Index of a ghost in ghosts(), or -1 if gv is not a ghost here. A
+  /// binary search: per-arc loops index through dst_slots() instead.
   [[nodiscard]] std::int64_t ghost_slot(VertexId gv) const {
-    const auto it = ghost_index_.find(gv);
-    return it == ghost_index_.end() ? -1 : static_cast<std::int64_t>(it->second);
+    const auto it = std::lower_bound(ghosts_.begin(), ghosts_.end(), gv);
+    return it != ghosts_.end() && *it == gv ? it - ghosts_.begin() : -1;
   }
 
   /// Per-arc destination slots, aligned with local().edges(): arc a's
   /// destination resolves to dst_slots()[a], which is its local row index
   /// when owned here and local_count() + ghost slot otherwise. Precomputed
   /// once per build so the per-iteration hot loops (move scan, modularity,
-  /// rebuild) never pay the owns()/ghost_slot() hash lookup per edge -- the
+  /// rebuild) never pay the owns()/ghost_slot() lookup per edge -- the
   /// index-translation trick of the Vite/Grappolo lineage.
   [[nodiscard]] const std::vector<std::int64_t>& dst_slots() const noexcept {
     return dst_slots_;
@@ -143,12 +144,22 @@ class DistGraph {
   static DistGraph from_replicated(comm::Comm& comm, const Csr& global,
                                    PartitionKind kind = PartitionKind::kEvenEdges);
 
-  /// Apply a batch of undirected edge additions/removals in place and
-  /// reclassify everything derived from the arc set: CSR, degrees, total
-  /// weight, ghosts, mirrors, dst slots, interior/boundary flags, neighbour
-  /// topology. Collective: every rank passes the SAME global change list
-  /// (the streaming-session contract); each applies the changes touching
-  /// its owned rows, so both directions of every edge stay consistent.
+  /// Return this graph with a batch of undirected edge additions/removals
+  /// applied; this graph is left untouched, so a caller can keep it as the
+  /// rollback state. Collective: every rank passes the SAME global change
+  /// list (the streaming-session contract); each applies the changes
+  /// touching its owned rows, so both directions of every edge stay
+  /// consistent.
+  ///
+  /// Cost is O(batch + sum of touched row lengths + ghosts) plus one
+  /// sequential copy of the rank's arrays: the touched rows are merged, and
+  /// everything derived from the arc set -- degrees, total weight, ghosts,
+  /// ghosts_by_owner, mirrors, dst slots, interior/boundary flags,
+  /// neighbour topology -- is patched from the batch, without re-running
+  /// the Algorithm-4 ghost discovery. The result equals what build() gives
+  /// for the post-batch arc set under the same partition, field for field.
+  /// Mirrors are patched by their owner alone, which relies on the graph
+  /// being symmetric (what validate() checks).
   ///
   /// Semantics per change: removals resolve against the PRE-batch arc set
   /// (removing an edge the graph does not have throws std::invalid_argument
@@ -157,8 +168,8 @@ class DistGraph {
   /// rejected. The partition is unchanged -- vertices never move ranks, so
   /// a fixed (graph, batch sequence) yields an identical DistGraph at any
   /// rank/thread count.
-  void apply_edge_changes(comm::Comm& comm, std::span<const EdgeChange> changes,
-                          util::ThreadPool* pool = nullptr);
+  [[nodiscard]] DistGraph apply_edge_changes(comm::Comm& comm,
+                                             std::span<const EdgeChange> changes) const;
 
   /// Collective consistency audit; throws std::logic_error (on every rank)
   /// describing the first violation found. Checks: every remote arc (u, v)
@@ -170,6 +181,10 @@ class DistGraph {
 
  private:
   void discover_ghosts(comm::Comm& comm);
+  /// ghosts_by_owner_ from the sorted ghosts_ and the partition.
+  void split_ghosts_by_owner();
+  /// neighbor_ranks_ from ghosts_by_owner_ and mirrors_.
+  void derive_neighbor_ranks();
 
   Rank rank_{0};
   Partition1D part_;
@@ -178,10 +193,13 @@ class DistGraph {
   Weight total_weight_{0};
   EdgeId global_arcs_{0};
   std::vector<VertexId> ghosts_;
+  /// Per ghost (aligned with ghosts_): how many owned rows hold an arc to
+  /// it. Rows are coalesced, so this is the ghost's local arc count; a
+  /// batch retires the ghost when it drops to zero.
+  std::vector<VertexId> ghost_arcs_;
   std::vector<std::int64_t> dst_slots_;
   std::vector<char> boundary_flags_;
   VertexId boundary_count_{0};
-  std::unordered_map<VertexId, std::size_t> ghost_index_;
   std::vector<std::vector<VertexId>> ghosts_by_owner_;
   std::vector<std::vector<VertexId>> mirrors_;
   std::vector<Rank> neighbor_ranks_;

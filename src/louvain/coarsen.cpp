@@ -6,16 +6,23 @@
 namespace dlouvain::louvain {
 
 CommunityId compact_ids(std::vector<CommunityId>& community) {
-  // Sorted-unique id list = the ordered renumbering (stable compact ids),
-  // flat instead of a node-based map.
-  std::vector<CommunityId> ids(community);
-  std::sort(ids.begin(), ids.end());
-  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
-  for (auto& c : community) {
-    c = static_cast<CommunityId>(
-        std::lower_bound(ids.begin(), ids.end(), c) - ids.begin());
+  // Ordered renumbering (stable compact ids) in O(n + id range): mark the
+  // ids present, prefix-count the marks, read each id's rank back. Callers
+  // pass vertex-id-space communities, so the range is at most n.
+  if (community.empty()) return 0;
+  const auto [lo, hi] = std::minmax_element(community.begin(), community.end());
+  if (*lo < 0) throw std::out_of_range("compact_ids: negative community id");
+  const CommunityId base = *lo;
+  std::vector<CommunityId> rank(static_cast<std::size_t>(*hi - base) + 1, 0);
+  for (const CommunityId c : community) rank[static_cast<std::size_t>(c - base)] = 1;
+  CommunityId next = 0;
+  for (auto& r : rank) {
+    const CommunityId present = r;
+    r = next;
+    next += present;
   }
-  return static_cast<CommunityId>(ids.size());
+  for (auto& c : community) c = rank[static_cast<std::size_t>(c - base)];
+  return next;
 }
 
 std::vector<CommunityId> compose(std::span<const CommunityId> orig_to_curr,

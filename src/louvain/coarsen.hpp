@@ -36,7 +36,9 @@ CoarsenResult coarsen(const graph::Csr& g, std::span<const CommunityId> communit
 std::vector<CommunityId> compose(std::span<const CommunityId> orig_to_curr,
                                  std::span<const CommunityId> curr_assignment);
 
-/// Renumber arbitrary community ids to compact [0, k); returns k.
+/// Renumber non-negative community ids to compact [0, k) in ascending id
+/// order; returns k. O(n + max id - min id) time and memory; throws
+/// std::out_of_range on a negative id.
 CommunityId compact_ids(std::vector<CommunityId>& community);
 
 }  // namespace dlouvain::louvain

@@ -1,7 +1,7 @@
 // Session: the re-entrant streaming driver behind Plan::open()/run()
 // (docs/STREAMING.md). run_initial() is the old one-shot driver with the
-// per-rank graph slices retained; update() mutates them in place and
-// re-converges warm.
+// per-rank graph slices retained; update() derives the post-batch slices
+// from them and re-converges warm.
 #include "dlouvain.hpp"
 
 #include <unistd.h>
@@ -204,16 +204,17 @@ void Session::run_initial(const graph::Csr& g) {
         // attempt's counters. Sized to the CURRENT world (shrinks resize).
         options_.metrics = std::make_shared<util::MetricsRegistry>(active_ranks_);
         // Retain this attempt's fine slices for update(): distinct
-        // elements, written by distinct rank-threads.
+        // elements, written by distinct rank-threads. The engine reads them
+        // in place.
         rank_graphs_.assign(static_cast<std::size_t>(active_ranks_), {});
         try {
           core::DistResult r;
           comm::run(
               active_ranks_,
               [&](comm::Comm& comm) {
-                auto dist = graph::DistGraph::from_replicated(comm, g, plan_.partition_);
-                rank_graphs_[static_cast<std::size_t>(comm.rank())] = dist;
-                auto local = core::dist_louvain(comm, std::move(dist), cfg, &progress);
+                auto& dist = rank_graphs_[static_cast<std::size_t>(comm.rank())];
+                dist = graph::DistGraph::from_replicated(comm, g, plan_.partition_);
+                auto local = core::dist_louvain(comm, dist, cfg, &progress);
                 if (comm.rank() == 0) r = std::move(local);
               },
               options_);
@@ -268,7 +269,7 @@ UpdateStats Session::update(const EdgeBatch& batch) {
   // touching session state (and, distributed, without spinning up ranks).
   // Removal-of-an-absent-edge is graph-dependent and detected collectively
   // by apply_edge_changes -- still before anything commits, because updates
-  // mutate per-rank COPIES and swap them in only on success.
+  // build NEW per-rank graphs and swap them in only on success.
   const auto n = static_cast<VertexId>(result_.community.size());
   for (const auto& c : batch.changes()) {
     if (c.u < 0 || c.u >= n || c.v < 0 || c.v >= n)
@@ -309,7 +310,8 @@ UpdateStats Session::update_distributed(const EdgeBatch& batch) {
     if (r == kInvalidVertex) r = static_cast<VertexId>(v);
   }
 
-  // Sorted unique batch endpoints: the reactivation probe set.
+  // Sorted unique batch endpoints: the touched set T. T and its post-batch
+  // neighbours reactivate.
   std::vector<VertexId> touched;
   touched.reserve(batch.size() * 2);
   for (const auto& c : batch.changes()) {
@@ -348,11 +350,11 @@ UpdateStats Session::update_distributed(const EdgeBatch& batch) {
           active_ranks_,
           [&](comm::Comm& comm) {
             const auto rk = static_cast<std::size_t>(comm.rank());
-            // Mutate a COPY; the session's graphs swap only after the whole
-            // collective succeeds, so a crashed/failed update retries (or
-            // throws) against pristine state.
-            auto g = rank_graphs_[rk];
-            g.apply_edge_changes(comm, batch.changes());
+            // Build the post-batch graph beside the session's; it swaps in
+            // only after the whole collective succeeds, so a crashed/failed
+            // update retries (or throws) against pristine state.
+            auto& g = updated[rk];
+            g = rank_graphs_[rk].apply_edge_changes(comm, batch.changes());
 
             // Warm start: batch endpoints and their (post-batch)
             // neighbourhoods reactivate; everyone else is frozen into the
@@ -365,29 +367,33 @@ UpdateStats Session::update_distributed(const EdgeBatch& batch) {
             // uses: a batch that moves modularity less than the tolerated
             // drift exits at the (cheap) warm phase 0.
             warm.exit_threshold = plan_.update_fallback_;
-            const auto hit = [&](VertexId gv) {
-              return std::binary_search(touched.begin(), touched.end(), gv);
-            };
-            std::int64_t local_reactivated = 0;
             for (VertexId lv = 0; lv < local_n; ++lv) {
-              const VertexId gv = g.to_global(lv);
-              bool active = hit(gv);
-              if (!active) {
-                for (const auto& e : g.local().neighbors(lv)) {
-                  if (hit(e.dst)) { active = true; break; }
-                }
-              }
-              warm.reactivated[static_cast<std::size_t>(lv)] = active ? 1 : 0;
-              local_reactivated += active ? 1 : 0;
               warm.seed_community[static_cast<std::size_t>(lv)] =
-                  rep[static_cast<std::size_t>(prev[static_cast<std::size_t>(gv)])];
+                  rep[static_cast<std::size_t>(prev[static_cast<std::size_t>(g.to_global(lv))])];
             }
-            const auto global_reactivated =
-                comm.allreduce_sum<std::int64_t>(local_reactivated);
+            // The reactivated set from the touched rows alone: each rank
+            // marks its touched vertices and their neighbours, shipping the
+            // remote neighbours to their owners. The graph is symmetric, so
+            // v has a neighbour in T iff v lies in a touched row.
+            std::vector<std::vector<VertexId>> remote(static_cast<std::size_t>(comm.size()));
+            const auto first = std::lower_bound(touched.begin(), touched.end(), g.v_begin());
+            const auto last = std::lower_bound(first, touched.end(), g.v_end());
+            for (auto t = first; t != last; ++t) {
+              warm.reactivated[static_cast<std::size_t>(g.to_local(*t))] = 1;
+              for (const auto& e : g.local().neighbors(g.to_local(*t))) {
+                if (g.owns(e.dst))
+                  warm.reactivated[static_cast<std::size_t>(g.to_local(e.dst))] = 1;
+                else
+                  remote[static_cast<std::size_t>(g.owner(e.dst))].push_back(e.dst);
+              }
+            }
+            for (const auto& from_rank : comm.alltoallv<VertexId>(std::move(remote)))
+              for (const VertexId gv : from_rank)
+                warm.reactivated[static_cast<std::size_t>(g.to_local(gv))] = 1;
+            const auto global_reactivated = comm.allreduce_sum<std::int64_t>(
+                std::count(warm.reactivated.begin(), warm.reactivated.end(), char{1}));
 
-            auto warm_graph = g;
-            auto local = core::dist_louvain(comm, std::move(warm_graph), cfg,
-                                            nullptr, &warm);
+            auto local = core::dist_louvain(comm, g, cfg, nullptr, &warm);
             const long iterations0 =
                 local.phase_telemetry.empty() ? 0 : local.phase_telemetry.front().iterations;
 
@@ -396,12 +402,8 @@ UpdateStats Session::update_distributed(const EdgeBatch& batch) {
             // rank-symmetric (modularity is collective-identical), so every
             // rank takes the same branch.
             const bool fb = local.modularity < prev_mod - plan_.update_fallback_;
-            if (fb) {
-              auto scratch = g;
-              local = core::dist_louvain(comm, std::move(scratch), cfg);
-            }
+            if (fb) local = core::dist_louvain(comm, g, cfg);
 
-            updated[rk] = std::move(g);
             if (comm.rank() == 0) {
               r = std::move(local);
               fell_back = fb;
@@ -417,8 +419,9 @@ UpdateStats Session::update_distributed(const EdgeBatch& batch) {
       // old size can only hit the same dead rank again (kill triggers
       // re-fire until retired). Poison the session -- every later
       // update()/result() reports this cause -- and let the verdict
-      // propagate. The pre-batch state itself is untouched (copies), but
-      // there is no world left to run it on.
+      // propagate. The pre-batch state itself is untouched (the post-batch
+      // graphs were built beside it), but there is no world left to run it
+      // on.
       harvest_update_ladder();
       result_.recovery.attempts += 1;
       result_.recovery.verdicts_dead += 1;
@@ -430,7 +433,8 @@ UpdateStats Session::update_distributed(const EdgeBatch& batch) {
       harvest_update_ladder();
       result_.recovery.attempts += 1;
       // Transient failure past the budget: propagate, but do NOT poison --
-      // nothing committed (copy-mutate-commit), so the next update() starts
+      // nothing committed (the post-batch graphs are built beside the
+      // session's and swapped in only on success), so the next update() starts
       // from the pristine pre-batch state with a fresh restart budget.
       if (attempt >= plan_.max_restarts_) throw;
     }

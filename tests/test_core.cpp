@@ -322,7 +322,7 @@ TEST(DistLouvain, DirectRunMatchesInprocessWrapper) {
   core::DistResult direct;
   dlouvain::comm::run(2, [&](dlouvain::comm::Comm& comm) {
     auto dist = dg::DistGraph::from_replicated(comm, g);
-    auto r = core::dist_louvain(comm, std::move(dist), {});
+    auto r = core::dist_louvain(comm, dist, {});
     if (comm.rank() == 0) direct = std::move(r);
   });
   const auto wrapped = core::dist_louvain_inprocess(2, g);
@@ -337,7 +337,7 @@ TEST(DistLouvain, ResultIdenticalOnAllRanks) {
   dlouvain::comm::run(3, [&](dlouvain::comm::Comm& comm) {
     auto dist = dg::DistGraph::from_replicated(comm, g);
     results[static_cast<std::size_t>(comm.rank())] =
-        core::dist_louvain(comm, std::move(dist), {});
+        core::dist_louvain(comm, dist, {});
   });
   for (int r = 1; r < 3; ++r) {
     EXPECT_EQ(results[0].community, results[static_cast<std::size_t>(r)].community);

@@ -407,7 +407,7 @@ TEST(QualityGather, PerPhaseAssignmentsTrackConvergence) {
   core::DistResult root_result;
   dc::run(3, [&](dc::Comm& comm) {
     auto dist = dg::DistGraph::from_replicated(comm, g);
-    auto r = core::dist_louvain(comm, std::move(dist), cfg);
+    auto r = core::dist_louvain(comm, dist, cfg);
     if (comm.rank() == 0) root_result = std::move(r);
   });
 

@@ -25,6 +25,7 @@
 #include "graph/csr.hpp"
 #include "graph/dist_graph.hpp"
 #include "louvain/serial.hpp"
+#include "util/parallel.hpp"
 
 namespace core = dlouvain::core;
 namespace dg = dlouvain::graph;
@@ -244,44 +245,168 @@ TEST(StreamingDeterminism, DelayAndDuplicationInvariant) {
 
 // ---- DistGraph::apply_edge_changes vs rebuild-from-scratch ------------------
 
-TEST(ApplyEdgeChanges, MatchesFromReplicatedRebuild) {
-  auto ledger = EdgeLedger::from(gen::planted_partition(120, 4, 0.30, 0.02, 13));
-  const auto before = ledger.csr();
-  std::mt19937_64 rng(77);
-  const auto batch = ledger.next_batch(rng, 8, 5);
-  const auto after = ledger.csr();
+namespace {
 
-  constexpr int kRanks = 4;
-  dc::run(kRanks, [&](dc::Comm& comm) {
-    auto mutated = dg::DistGraph::from_replicated(comm, before);
-    mutated.apply_edge_changes(comm, batch.changes());
-    // Rebuild from scratch under the SAME partition (apply_edge_changes
-    // keeps the original vertex distribution; from_replicated would re-cut
-    // kEvenEdges on the new edge counts).
-    std::vector<Edge> owned_arcs;
-    for (VertexId lv = 0; lv < mutated.local_count(); ++lv) {
-      const VertexId gv = mutated.to_global(lv);
-      for (const auto& e : after.neighbors(gv)) {
-        owned_arcs.push_back(Edge{gv, e.dst, e.weight});
-      }
-    }
-    const auto rebuilt = dg::DistGraph::build(comm, mutated.partition(),
-                                              std::move(owned_arcs),
-                                              /*symmetrize=*/false);
+std::uint64_t bits_of(double x) {
+  std::uint64_t b = 0;
+  std::memcpy(&b, &x, sizeof b);
+  return b;
+}
 
-    ASSERT_EQ(mutated.local_count(), rebuilt.local_count());
-    EXPECT_EQ(mutated.local().offsets(), rebuilt.local().offsets());
-    ASSERT_EQ(mutated.local().edges().size(), rebuilt.local().edges().size());
-    for (std::size_t i = 0; i < mutated.local().edges().size(); ++i) {
-      EXPECT_EQ(mutated.local().edges()[i].dst, rebuilt.local().edges()[i].dst);
-      EXPECT_DOUBLE_EQ(mutated.local().edges()[i].weight,
-                       rebuilt.local().edges()[i].weight);
+/// Every derived field of `got` against `want`, weights by their bits.
+void expect_same_graph(const dg::DistGraph& got, const dg::DistGraph& want) {
+  ASSERT_EQ(got.partition(), want.partition());
+  ASSERT_EQ(got.local_count(), want.local_count());
+  EXPECT_EQ(got.local().offsets(), want.local().offsets());
+  ASSERT_EQ(got.local().edges().size(), want.local().edges().size());
+  std::size_t arc_mismatches = 0;
+  for (std::size_t i = 0; i < got.local().edges().size(); ++i) {
+    const auto& x = got.local().edges()[i];
+    const auto& y = want.local().edges()[i];
+    arc_mismatches += x.dst != y.dst || bits_of(x.weight) != bits_of(y.weight) ? 1 : 0;
+  }
+  EXPECT_EQ(arc_mismatches, 0u);
+  std::size_t degree_mismatches = 0;
+  for (VertexId gv = got.v_begin(); gv < got.v_end(); ++gv)
+    degree_mismatches +=
+        bits_of(got.weighted_degree(gv)) != bits_of(want.weighted_degree(gv)) ? 1 : 0;
+  EXPECT_EQ(degree_mismatches, 0u);
+  EXPECT_EQ(bits_of(got.total_weight()), bits_of(want.total_weight()));
+  EXPECT_EQ(got.global_arcs(), want.global_arcs());
+  EXPECT_EQ(got.ghosts(), want.ghosts());
+  EXPECT_EQ(got.ghosts_by_owner(), want.ghosts_by_owner());
+  EXPECT_EQ(got.mirrors(), want.mirrors());
+  EXPECT_EQ(got.dst_slots(), want.dst_slots());
+  EXPECT_EQ(got.boundary_flags(), want.boundary_flags());
+  EXPECT_EQ(got.boundary_count(), want.boundary_count());
+  EXPECT_EQ(got.neighbor_ranks(), want.neighbor_ranks());
+}
+
+/// DistGraph::build of `csr`'s rows under `part` (apply_edge_changes keeps
+/// the vertex distribution; from_replicated would re-cut it).
+dg::DistGraph build_under(dc::Comm& comm, const dg::Partition1D& part, const dg::Csr& csr,
+                          dlouvain::util::ThreadPool* pool) {
+  std::vector<Edge> owned_arcs;
+  for (VertexId gv = part.begin(comm.rank()); gv < part.end(comm.rank()); ++gv) {
+    for (const auto& e : csr.neighbors(gv)) owned_arcs.push_back(Edge{gv, e.dst, e.weight});
+  }
+  return dg::DistGraph::build(comm, part, std::move(owned_arcs), /*symmetrize=*/false, pool);
+}
+
+/// Mirror an explicit batch onto a ledger with the batch contract: removals
+/// resolve against the pre-batch edge set, additions merge afterwards.
+void apply_to_ledger(EdgeLedger& ledger, const EdgeBatch& batch) {
+  const auto find = [&](VertexId u, VertexId v) {
+    return std::find_if(ledger.edges.begin(), ledger.edges.end(), [&](const Edge& e) {
+      return std::minmax(e.src, e.dst) == std::minmax(u, v);
+    });
+  };
+  for (const auto& c : batch.changes()) {
+    if (!c.remove) continue;
+    const auto it = find(c.u, c.v);
+    ASSERT_NE(it, ledger.edges.end()) << "fixture removes an absent edge";
+    ledger.edges.erase(it);
+  }
+  for (const auto& c : batch.changes()) {
+    if (c.remove) continue;
+    if (const auto it = find(c.u, c.v); it != ledger.edges.end())
+      it->weight += c.weight;
+    else
+      ledger.edges.push_back(Edge{std::min(c.u, c.v), std::max(c.u, c.v), c.weight});
+  }
+}
+
+/// A chain of batches with the ledger's CSR after each one: the oracle the
+/// patched graphs are held against.
+struct Chain {
+  dg::Csr base;
+  std::vector<EdgeBatch> batches;
+  std::vector<dg::Csr> after;
+};
+
+/// Applies the chain at `ranks` x `threads`, holding every intermediate
+/// graph to a from-scratch build() of the ledger's CSR and to validate(),
+/// and the input of every call to its pre-call bits. `probe` sees each
+/// rank's graph after every batch (batch index, graph).
+template <typename Probe>
+void check_chain(const Chain& chain, int ranks, int threads, Probe&& probe) {
+  SCOPED_TRACE("ranks " + std::to_string(ranks) + " threads " + std::to_string(threads));
+  dc::run(ranks, [&](dc::Comm& comm) {
+    dlouvain::util::ThreadPool pool(threads);
+    const auto part = dg::partition_even_edges(
+        chain.base.num_vertices(), ranks, [&](VertexId v) { return chain.base.degree(v); });
+    auto current = build_under(comm, part, chain.base, &pool);
+    for (std::size_t i = 0; i < chain.batches.size(); ++i) {
+      SCOPED_TRACE("batch " + std::to_string(i));
+      const auto input = current;
+      auto next = current.apply_edge_changes(comm, chain.batches[i].changes());
+      expect_same_graph(current, input);
+      expect_same_graph(next, build_under(comm, part, chain.after[i], &pool));
+      EXPECT_NO_THROW(next.validate(comm));
+      probe(i, next);
+      current = std::move(next);
     }
-    EXPECT_DOUBLE_EQ(mutated.total_weight(), rebuilt.total_weight());
-    EXPECT_EQ(mutated.ghosts(), rebuilt.ghosts());
-    EXPECT_EQ(mutated.boundary_flags(), rebuilt.boundary_flags());
-    EXPECT_EQ(mutated.neighbor_ranks(), rebuilt.neighbor_ranks());
   });
+}
+
+}  // namespace
+
+TEST(ApplyEdgeChanges, MatchesFromReplicatedRebuild) {
+  // A chain of seeded mixed batches on a planted partition: random additions
+  // create ghosts and rank adjacencies, random removals retire some.
+  auto ledger = EdgeLedger::from(gen::planted_partition(120, 4, 0.30, 0.02, 13));
+  Chain chain{ledger.csr(), {}, {}};
+  std::mt19937_64 rng(77);
+  for (int i = 0; i < 24; ++i) {
+    chain.batches.push_back(ledger.next_batch(rng, 1 + i % 8, i % 6));
+    chain.after.push_back(ledger.csr());
+  }
+  for (int ranks = 1; ranks <= 4; ++ranks)
+    for (const int threads : {1, 4}) check_chain(chain, ranks, threads, [](std::size_t, const auto&) {});
+}
+
+TEST(ApplyEdgeChanges, PatchesGhostsMirrorsAndTopologyAtTheEdgeCases) {
+  // A 64-ring: at 4 ranks each owns 16 consecutive vertices and is adjacent
+  // to its two ring neighbours only. Vertex 0 is on rank 0, 32 on rank 2
+  // (on rank 1 at 2 and 3 ranks).
+  auto ledger = EdgeLedger::from(gen::ring(64));
+  Chain chain{ledger.csr(), {}, {}};
+  const auto push = [&](EdgeBatch batch) {
+    apply_to_ledger(ledger, batch);
+    chain.batches.push_back(std::move(batch));
+    chain.after.push_back(ledger.csr());
+  };
+  push(EdgeBatch().add(0, 32, 1.0));           // 0: new ghosts, ranks 0-2 adjacent
+  push(EdgeBatch().add(1, 32, 2.0));           // 1: second arc to ghost 32
+  push(EdgeBatch().remove(0, 32));             // 2: ghost 32 keeps an arc, 0 retires at 32's owner
+  push(EdgeBatch().remove(1, 32).add(2, 40));  // 3: 32 retires while 40 joins
+  push(EdgeBatch().remove(2, 40));             // 4: last cross arc: ranks 0-2 split again
+  push(EdgeBatch().remove(15, 16).add(15, 16, 3.0));  // 5: rank-boundary edge replaced
+  push(EdgeBatch().remove(15, 16));            // 6: ghost 16 retires, ranks 0-1 split
+  push(EdgeBatch().add(3, 48).add(4, 48));     // 7: ghost 48 joins with two arcs
+  push(EdgeBatch().remove(3, 48));             // 8: ...and keeps the second
+  push(EdgeBatch().remove(4, 48));             // 9: ...until it goes too
+
+  for (int ranks = 1; ranks <= 4; ++ranks) {
+    for (const int threads : {1, 4}) {
+      check_chain(chain, ranks, threads, [&](std::size_t i, const dg::DistGraph& g) {
+        if (ranks != 4 || g.rank() != 0) return;
+        // The cases really happen at 4 ranks (rank 0's view).
+        const auto ghosts = [&](VertexId v) { return g.ghost_slot(v) >= 0; };
+        const auto adjacent = [&](dlouvain::Rank r) {
+          return std::find(g.neighbor_ranks().begin(), g.neighbor_ranks().end(), r) !=
+                 g.neighbor_ranks().end();
+        };
+        EXPECT_EQ(ghosts(32), i <= 2) << "batch " << i;
+        EXPECT_EQ(adjacent(2), i <= 3) << "batch " << i;
+        EXPECT_EQ(ghosts(40), i == 3) << "batch " << i;
+        EXPECT_EQ(ghosts(16), i < 6) << "batch " << i;
+        EXPECT_EQ(adjacent(1), i < 6) << "batch " << i;
+        EXPECT_EQ(ghosts(48), i == 7 || i == 8) << "batch " << i;
+        EXPECT_TRUE(ghosts(63));  // the ring's wrap-around arc from 0 stays
+      });
+    }
+  }
 }
 
 TEST(ApplyEdgeChanges, RemovalOfAbsentEdgeThrowsEverywhere) {
@@ -289,11 +414,62 @@ TEST(ApplyEdgeChanges, RemovalOfAbsentEdgeThrowsEverywhere) {
   const auto csr = dg::from_edges(g.num_vertices, g.edges);
   constexpr int kRanks = 2;
   dc::run(kRanks, [&](dc::Comm& comm) {
-    auto dist = dg::DistGraph::from_replicated(comm, csr);
+    const auto dist = dg::DistGraph::from_replicated(comm, csr);
+    const auto input = dist;
     const std::vector<dg::EdgeChange> changes{
         dg::EdgeChange{0, 2, 0.0, true}};  // ring has no chord 0-2
-    EXPECT_THROW(dist.apply_edge_changes(comm, changes), std::invalid_argument);
+    EXPECT_THROW((void)dist.apply_edge_changes(comm, changes), std::invalid_argument);
+    expect_same_graph(dist, input);
   });
+}
+
+TEST(ApplyEdgeChanges, ValidateFailsOnEveryRankWhenOnlyOneSeesAMirrorMismatch) {
+  // apply_edge_changes patches mirrors on the symmetric-graph assumption.
+  // On a graph built without the reverse arc 0->5, removing {0,6} drops 0
+  // from rank 0's mirror list while rank 1 (through 5->0) still ghosts 0.
+  // Only rank 0 sees the ghost/mirror mismatch; validate() must still throw
+  // on both ranks rather than leave rank 1 alone in its next collective.
+  dc::RunOptions options;
+  options.timeout_seconds = 10;  // a rank left alone fails, not hangs
+  dc::run(
+      2,
+      [&](dc::Comm& comm) {
+        std::vector<Edge> arcs;
+        if (comm.rank() == 0) arcs = {Edge{0, 6, 1.0}, Edge{6, 0, 1.0}, Edge{5, 0, 1.0}};
+        const auto g = dg::DistGraph::build(comm, dg::partition_even_vertices(8, 2),
+                                            std::move(arcs), /*symmetrize=*/false);
+        const std::vector<dg::EdgeChange> changes{dg::EdgeChange{0, 6, 0.0, true}};
+        const auto next = g.apply_edge_changes(comm, changes);
+        EXPECT_THROW(next.validate(comm), std::logic_error);
+      },
+      options);
+}
+
+// ---- Reactivation: T plus its post-batch neighbours -------------------------
+
+TEST(Reactivation, CountIsTouchedSetPlusNeighboursOfTheLedgerGraph) {
+  // vertices_reactivated must be |T u N(T)| with T the batch endpoints and
+  // N taken in the post-batch graph, recomputed here from the ledger's CSR.
+  for (int ranks = 1; ranks <= 4; ++ranks) {
+    SCOPED_TRACE("ranks " + std::to_string(ranks));
+    auto ledger = EdgeLedger::from(gen::planted_partition(160, 4, 0.25, 0.02, 41));
+    auto session = Plan::distributed(ranks).threads(2).open(ledger.csr());
+    std::mt19937_64 rng(500 + static_cast<std::uint64_t>(ranks));
+    for (int i = 0; i < 6; ++i) {
+      const auto batch = ledger.next_batch(rng, 1 + i % 4, i % 3);
+      const auto after = ledger.csr();
+      std::set<VertexId> active;
+      for (const auto& c : batch.changes()) {
+        for (const VertexId t : {c.u, c.v}) {
+          active.insert(t);
+          for (const auto& e : after.neighbors(t)) active.insert(e.dst);
+        }
+      }
+      const auto stats = session.update(batch);
+      EXPECT_EQ(stats.vertices_reactivated, static_cast<std::int64_t>(active.size()))
+          << "batch " << i;
+    }
+  }
 }
 
 // ---- Fallback to full recompute ---------------------------------------------
@@ -648,8 +824,8 @@ namespace {
 void expect_changes_yield(const dg::Csr& before, const std::vector<dg::EdgeChange>& changes,
                           const dg::Csr& expected) {
   dc::run(2, [&](dc::Comm& comm) {
-    auto mutated = dg::DistGraph::from_replicated(comm, before);
-    mutated.apply_edge_changes(comm, changes);
+    const auto mutated =
+        dg::DistGraph::from_replicated(comm, before).apply_edge_changes(comm, changes);
     for (VertexId lv = 0; lv < mutated.local_count(); ++lv) {
       const VertexId gv = mutated.to_global(lv);
       const auto got = mutated.local().neighbors(lv);
@@ -717,7 +893,7 @@ TEST(EdgeBatchSemantics, DuplicateRemoveThrowsEverywhere) {
     auto dist = dg::DistGraph::from_replicated(comm, fx.before);
     const std::vector<dg::EdgeChange> dup{dg::EdgeChange{0, 1, 0.0, true},
                                           dg::EdgeChange{1, 0, 0.0, true}};
-    EXPECT_THROW(dist.apply_edge_changes(comm, dup), std::invalid_argument);
+    EXPECT_THROW((void)dist.apply_edge_changes(comm, dup), std::invalid_argument);
   });
   // Same verdict through a serial session, which must stay unmutated.
   auto session = Plan::serial().open(fx.before);
@@ -736,7 +912,7 @@ TEST(EdgeBatchSemantics, AddThenRemoveOfAbsentEdgeThrows) {
     auto dist = dg::DistGraph::from_replicated(comm, fx.before);
     const std::vector<dg::EdgeChange> changes{dg::EdgeChange{0, 9, 1.0, false},
                                               dg::EdgeChange{0, 9, 0.0, true}};
-    EXPECT_THROW(dist.apply_edge_changes(comm, changes), std::invalid_argument);
+    EXPECT_THROW((void)dist.apply_edge_changes(comm, changes), std::invalid_argument);
   });
   auto session = Plan::serial().open(fx.before);
   EXPECT_THROW(session.update(EdgeBatch().add(0, 9, 1.0).remove(0, 9)),

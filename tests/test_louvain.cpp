@@ -4,7 +4,10 @@
 // modularity exactly.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
+#include <random>
+#include <stdexcept>
 
 #include "gen/lfr.hpp"
 #include "gen/simple.hpp"
@@ -200,6 +203,26 @@ TEST(Coarsen, CompactIdsProducesDenseRange) {
   const auto k = dl::compact_ids(ids);
   EXPECT_EQ(k, 3);
   EXPECT_EQ(ids, (std::vector<CommunityId>{1, 0, 1, 2, 0}));
+}
+
+TEST(Coarsen, CompactIdsIsTheRankAmongSortedDistinctIds) {
+  // Oracle: an id's compact value is its index in the sorted distinct ids.
+  std::mt19937_64 rng(8);
+  for (const CommunityId range : {1, 7, 1000, 70000}) {
+    std::vector<CommunityId> ids(5000);
+    for (auto& c : ids) c = 3 + static_cast<CommunityId>(rng() % static_cast<std::uint64_t>(range));
+    auto sorted = ids;
+    std::sort(sorted.begin(), sorted.end());
+    sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
+    auto compact = ids;
+    EXPECT_EQ(dl::compact_ids(compact), static_cast<CommunityId>(sorted.size()));
+    for (std::size_t i = 0; i < ids.size(); ++i)
+      ASSERT_EQ(compact[i], std::lower_bound(sorted.begin(), sorted.end(), ids[i]) - sorted.begin());
+  }
+  std::vector<CommunityId> none;
+  EXPECT_EQ(dl::compact_ids(none), 0);
+  std::vector<CommunityId> negative{4, -1, 2};
+  EXPECT_THROW(dl::compact_ids(negative), std::out_of_range);
 }
 
 // ---- EtState ---------------------------------------------------------------
